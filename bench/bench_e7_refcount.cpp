@@ -3,12 +3,12 @@
 //
 // Claims reproduced:
 //   (a) "Actually acquiring a reference requires locking the object (or
-//       the portion containing its reference count)" — a four-way policy
-//       shoot-out under increasing sharing: the paper's locked count, the
-//       atomic "portion", the Linux-style lockref (lock word + count in
-//       one 64-bit cmpxchg; kern/refcount.h), and the striped per-slot
-//       count for long-lived hot objects.
-//   (b) the same four policies threaded through the full kobject
+//       the portion containing its reference count)" — a three-way policy
+//       shoot-out under increasing sharing (kern/refcount.h): the paper's
+//       locked count (the reference row), the atomic "portion" (kobject's
+//       default), and the striped per-slot count for long-lived objects
+//       shared across threads.
+//   (b) the same three policies threaded through the full kobject
 //       ref_ptr clone/release path (the policy choice kobject exposes).
 //   (c) memory objects carry TWO counts; the paging count "is a hybrid of
 //       a reference and a lock because it excludes operations such as
@@ -65,8 +65,6 @@ const char* policy_row_label(refcount_policy p) {
       return "locked count (paper)";
     case refcount_policy::atomic:
       return "atomic portion";
-    case refcount_policy::lockref:
-      return "lockref cmpxchg";
     case refcount_policy::striped:
       return "striped per-slot";
   }
@@ -136,8 +134,8 @@ int main() {
   }
   t2.print();
   std::printf("\n  expected shape: terminate waits ~one pager latency whenever faults are in\n"
-              "  flight (the hybrid count's exclusion), ~0 otherwise; lockref and the atomic\n"
-              "  portion outpace the locked count as sharing grows (no lock convoy), and the\n"
-              "  striped count scales further once threads stop sharing a count line.\n");
+              "  flight (the hybrid count's exclusion), ~0 otherwise; the atomic portion\n"
+              "  outpaces the locked count, and the striped count scales past both once\n"
+              "  threads stop sharing a count line.\n");
   return 0;
 }

@@ -11,9 +11,8 @@
 // nothing leaks.
 //
 // Usage: machcached [connections] [workers] [duration_ms] [read_pct]
-// Knobs: MACHLOCK_CACHE_SHARDS (item-table stripes, default 4),
-//        MACHLOCK_REFCOUNT (item refcount policy), plus the usual
-//        observability matrix (MACHLOCK_TRACE / _LOCKSTAT / _SPANS ...).
+// Knobs: MACHLOCK_CACHE_SHARDS (item-table stripes, default 4), plus the
+//        usual observability matrix (MACHLOCK_TRACE / _LOCKSTAT / _SPANS ...).
 #include <cstdio>
 #include <cstdlib>
 
@@ -40,9 +39,9 @@ int main(int argc, char** argv) {
   machine::instance().configure(spec.workers);
 
   std::printf("serving: %d connections -> %d workers (vcpu-bound), %d ms, %d%% reads,\n"
-              "         %d-way striped table, policy %s\n\n",
+              "         %d-way striped table\n\n",
               spec.connections, spec.workers, spec.duration_ms, spec.read_pct,
-              spec.cache.shards, refcount_policy_name(spec.cache.item_policy));
+              spec.cache.shards);
 
   mc_load_result r = run_mc_load(spec);
 

@@ -30,11 +30,10 @@ namespace mach {
 class kobject {
  public:
   // `ref_policy` selects the reference-count implementation (kern/
-  // refcount.h): lockref by default (overridable kernel-wide via
-  // MACHLOCK_REFCOUNT); long-lived hot objects such as processor sets and
-  // pager-backed memory objects pass refcount_policy::striped.
-  explicit kobject(const char* type_name,
-                   refcount_policy ref_policy = default_refcount_policy());
+  // refcount.h): atomic by default; long-lived objects shared across
+  // threads, such as processor sets and pager-backed memory objects, pass
+  // refcount_policy::striped.
+  explicit kobject(const char* type_name, refcount_policy ref_policy = refcount_policy::atomic);
   virtual ~kobject();
   kobject(const kobject&) = delete;
   kobject& operator=(const kobject&) = delete;
@@ -51,9 +50,9 @@ class kobject {
   // paper, acquiring a reference requires locking the object "or the
   // portion containing its reference count"; kobject uses the
   // portion-lock form (the policy-selected count in kern/refcount.h,
-  // lockref by default) so that cloning a back-pointer's reference while
+  // atomic by default) so that cloning a back-pointer's reference while
   // holding another object's lock can never invert a lock order — no
-  // policy's count lock is tracked or can block. (The four policies are
+  // policy's count lock is tracked or can block. (The three policies are
   // compared head-to-head in E7.)
   void ref_clone();
   // As ref_clone, for call sites already holding the object lock (kept to
@@ -106,8 +105,8 @@ class kobject {
   mutable simple_lock_data_t lock_;
   // The count, under the policy chosen at construction. Every policy keeps
   // the paper's discipline observable (over-release and clone-from-dead
-  // panic identically); the lockref default makes get/put on an unlocked
-  // object a single cmpxchg. See kern/refcount.h for the policy catalogue.
+  // panic identically); the atomic default makes get/put one atomic RMW.
+  // See kern/refcount.h for the policy catalogue.
   krefcount ref_;
   bool active_ = true;
   const char* type_name_;

@@ -1,7 +1,5 @@
 #include "kern/refcount.h"
 
-#include <cstdlib>
-
 namespace mach {
 
 const char* refcount_policy_name(refcount_policy p) noexcept {
@@ -10,31 +8,10 @@ const char* refcount_policy_name(refcount_policy p) noexcept {
       return "locked";
     case refcount_policy::atomic:
       return "atomic";
-    case refcount_policy::lockref:
-      return "lockref";
     case refcount_policy::striped:
       return "striped";
   }
   return "unknown";
-}
-
-bool refcount_policy_parse(const std::string& s, refcount_policy* out) noexcept {
-  for (refcount_policy p : kRefcountPolicies) {
-    if (s == refcount_policy_name(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-refcount_policy default_refcount_policy() noexcept {
-  static const refcount_policy chosen = [] {
-    refcount_policy p = refcount_policy::lockref;
-    if (const char* env = std::getenv("MACHLOCK_REFCOUNT")) refcount_policy_parse(env, &p);
-    return p;
-  }();
-  return chosen;
 }
 
 }  // namespace mach

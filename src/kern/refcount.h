@@ -6,31 +6,27 @@
 // object (or the portion containing its reference count)". That is
 // locked_refcount below, and the discipline kobject builds on.
 //
-// Four interchangeable policies are provided, compared head-to-head in
-// the E7 shoot-out and selectable per-object through kobject:
+// Three interchangeable policies are provided, compared head-to-head in
+// the E7 shoot-out and selectable per-object through kobject. Each stays
+// for its own reason:
 //
 //   * locked_refcount  — the paper's design: count guarded by a simple
-//     lock. Every get/put pays an acquire/release pair.
+//     lock. Every get/put pays an acquire/release pair. E7's reference
+//     row and the reference the equivalence tests hold the others to.
 //   * atomic_refcount  — the "portion" form taken literally: one atomic
-//     RMW, no lock. The modern baseline the paper's choice is measured
-//     against.
-//   * lockref_refcount — the Linux lockref technique (sync/lockref.h):
-//     lock word and count packed into one 64-bit word, updated by a
-//     BOUNDED cmpxchg loop. Fallback to the embedded locked path when
-//     (a) the lock bit is observed set, or (b) kFastAttempts cmpxchges
-//     lose their race (livelock bound). Get/put on an unlocked object
-//     never touches the spinlock.
-//   * striped_refcount — per-slot counters for long-lived hot objects
-//     (pset, the pager-backed memory object) whose single count line
-//     would ping-pong. Threads get/put against a thread-affine slot (its
-//     own cache line, each a lockref64 word); release-to-zero detection
-//     happens in a locked reconcile that folds every slot into a base
-//     count. Invariant making fast-path puts provably non-final: slots
-//     never go negative and base stays >= 1 while the object is alive, so
-//     a put that keeps its slot >= 0 cannot be the last reference; a put
-//     that would drive its slot negative takes the reconcile path
-//     instead. At zero the reconcile marks every slot with the sticky
-//     kDeadBit, which is how clone-from-dead panics stay exact.
+//     RMW, no lock. kobject's default.
+//   * striped_refcount — per-slot counters for long-lived objects shared
+//     across threads (pset, the pager-backed memory object) whose single
+//     count line would ping-pong. Threads get/put against a thread-affine
+//     slot (its own cache line, each a lockref64 word, sync/lockref.h);
+//     release-to-zero detection happens in a locked reconcile that folds
+//     every slot into a base count. Invariant making fast-path puts
+//     provably non-final: slots never go negative and base stays >= 1
+//     while the object is alive, so a put that keeps its slot >= 0 cannot
+//     be the last reference; a put that would drive its slot negative
+//     takes the reconcile path instead. At zero the reconcile marks every
+//     slot with the sticky kDeadBit, which is how clone-from-dead panics
+//     stay exact.
 //
 // Observable semantics are identical across policies (asserted by the
 // policy-equivalence property tests): release() returns true exactly
@@ -45,7 +41,7 @@
 // Tracing discipline: every policy emits ktrace ref_take/ref_release on
 // every path (records carry the active kspan context automatically).
 // ref_release arg2 is the exact remaining count where the policy knows it
-// (locked always; atomic/lockref exactly, from the RMW's return;
+// (locked always; atomic exactly, from the RMW's return;
 // striped's fast path only knows "not last" and emits 1) — arg2 == 0
 // always and only marks destruction. locked_refcount additionally
 // guarantees trace ORDER: it emits while still holding the lock, so the
@@ -151,86 +147,6 @@ class atomic_refcount {
 
  private:
   std::atomic<int> count_;
-};
-
-// Linux lockref: {lock, count} in one word, bounded cmpxchg fast path.
-class lockref_refcount {
- public:
-  explicit lockref_refcount(int initial = 1) : ref_(initial) {}
-
-  void acquire(const char* who = nullptr) {
-    const char* name = who != nullptr ? who : "lockref_refcount";
-    std::uint64_t w = ref_.load();
-    for (int attempt = 0; attempt < lockref64::kFastAttempts && !lockref64::is_locked(w);
-         ++attempt) {
-      std::int32_t c = lockref64::count_of(w);
-      MACH_ASSERT(c > 0, std::string("reference cloned from dead ") + name);
-      if (ref_.cas(w, lockref64::pack(c + 1))) {
-        kmet().kern_lockref_fast.inc();
-        ktrace::emit(trace_kind::ref_take, name, reinterpret_cast<std::uint64_t>(this),
-                     static_cast<std::uint64_t>(c + 1));
-        return;
-      }
-      cpu_relax();
-    }
-    // Lock bit observed set (a holder owns the count) or the cmpxchg
-    // budget ran out under a stream of winners: the paper's locked path.
-    ref_.lock();
-    std::int32_t c = ref_.count_locked();
-    if (c <= 0) {
-      ref_.unlock();
-      panic(std::string("reference cloned from dead ") + name);
-    }
-    ref_.add_locked(1);
-    kmet().kern_lockref_slow.inc();
-    ktrace::emit(trace_kind::ref_take, name, reinterpret_cast<std::uint64_t>(this),
-                 static_cast<std::uint64_t>(c + 1));
-    ref_.unlock();
-  }
-
-  bool release(const char* who = nullptr) {
-    const char* name = who != nullptr ? who : "lockref_refcount";
-    std::uint64_t w = ref_.load();
-    for (int attempt = 0; attempt < lockref64::kFastAttempts && !lockref64::is_locked(w);
-         ++attempt) {
-      std::int32_t c = lockref64::count_of(w);
-      MACH_ASSERT(c > 0, std::string("reference over-release on ") + name);
-      if (ref_.cas(w, lockref64::pack(c - 1))) {
-        kmet().kern_lockref_fast.inc();
-        ktrace::emit(trace_kind::ref_release, name, reinterpret_cast<std::uint64_t>(this),
-                     static_cast<std::uint64_t>(c - 1));
-        return c == 1;
-      }
-      cpu_relax();
-    }
-    ref_.lock();
-    std::int32_t c = ref_.count_locked();
-    if (c <= 0) {
-      ref_.unlock();
-      panic(std::string("reference over-release on ") + name);
-    }
-    ref_.add_locked(-1);
-    kmet().kern_lockref_slow.inc();
-    // Under the embedded lock this path has the locked policy's trace-order
-    // guarantee; the cmpxchg fast path above emits after its CAS instead.
-    ktrace::emit(trace_kind::ref_release, name, reinterpret_cast<std::uint64_t>(this),
-                 static_cast<std::uint64_t>(c - 1));
-    ref_.unlock();
-    return c == 1;
-  }
-
-  int value() const { return lockref64::count_of(ref_.load()); }
-
-  // The embedded lock, exposed for call sites that already hold the
-  // object locked (the paper's clone-under-lock form) and for the
-  // lock-steal arms of the stress battery: while held, every fast path
-  // falls back to waiting on it.
-  void lock() { ref_.lock(); }
-  void unlock() { ref_.unlock(); }
-  bool try_lock() { return ref_.try_lock(); }
-
- private:
-  lockref64 ref_;
 };
 
 // Per-slot counters with a locked reconcile on release-to-zero.
@@ -360,23 +276,18 @@ class striped_refcount {
 
 // --- runtime policy selection (threaded through kobject) ---
 
-enum class refcount_policy : std::uint8_t { locked, atomic, lockref, striped };
+// Explicit values: a policy keeps its number when another is removed
+// (gtest prints the raw value into parameterised test names, which ctest
+// tracks tests by).
+enum class refcount_policy : std::uint8_t { locked = 0, atomic = 1, striped = 3 };
 
 inline constexpr refcount_policy kRefcountPolicies[] = {
     refcount_policy::locked,
     refcount_policy::atomic,
-    refcount_policy::lockref,
     refcount_policy::striped,
 };
 
 const char* refcount_policy_name(refcount_policy p) noexcept;
-
-// Parses "locked" / "atomic" / "lockref" / "striped"; false on no match.
-bool refcount_policy_parse(const std::string& s, refcount_policy* out) noexcept;
-
-// The kernel-wide default for kobject: MACHLOCK_REFCOUNT=<policy> if set
-// and valid, else lockref (the fast path this library exists to measure).
-refcount_policy default_refcount_policy() noexcept;
 
 // A reference count with the policy chosen at construction — the form
 // kobject embeds. Dispatch is one predictable switch; the storage is a
@@ -393,9 +304,6 @@ class krefcount {
       case refcount_policy::atomic:
         new (&u_.at) atomic_refcount(initial);
         break;
-      case refcount_policy::lockref:
-        new (&u_.lr) lockref_refcount(initial);
-        break;
       case refcount_policy::striped:
         new (&u_.st) striped_refcount(initial);
         break;
@@ -409,9 +317,6 @@ class krefcount {
         break;
       case refcount_policy::atomic:
         u_.at.~atomic_refcount();
-        break;
-      case refcount_policy::lockref:
-        u_.lr.~lockref_refcount();
         break;
       case refcount_policy::striped:
         u_.st.~striped_refcount();
@@ -430,9 +335,6 @@ class krefcount {
       case refcount_policy::atomic:
         u_.at.acquire(who);
         break;
-      case refcount_policy::lockref:
-        u_.lr.acquire(who);
-        break;
       case refcount_policy::striped:
         u_.st.acquire(who);
         break;
@@ -445,8 +347,6 @@ class krefcount {
         return u_.lk.release(who);
       case refcount_policy::atomic:
         return u_.at.release(who);
-      case refcount_policy::lockref:
-        return u_.lr.release(who);
       case refcount_policy::striped:
         return u_.st.release(who);
     }
@@ -459,8 +359,6 @@ class krefcount {
         return u_.lk.value();
       case refcount_policy::atomic:
         return u_.at.value();
-      case refcount_policy::lockref:
-        return u_.lr.value();
       case refcount_policy::striped:
         return u_.st.value();
     }
@@ -475,7 +373,6 @@ class krefcount {
     ~storage() {}
     locked_refcount lk;
     atomic_refcount at;
-    lockref_refcount lr;
     striped_refcount st;
   } u_;
   refcount_policy pol_;

@@ -72,10 +72,13 @@ struct kmetrics_t {
                                   "kobject references released"};
   kmon::counter kern_deactivations{"machlock_kern_deactivations_total",
                                    "kobject deactivations (sec. 9)"};
+  // Named for the slot word (sync/lockref.h); only striped_refcount
+  // counts here, so every other policy's ops leave both at zero.
   kmon::counter kern_lockref_fast{"machlock_kern_lockref_fast_total",
-                                  "refcount ops completed by the lockref cmpxchg fast path"};
-  kmon::counter kern_lockref_slow{"machlock_kern_lockref_slow_total",
-                                  "refcount ops that fell back to a locked slow path"};
+                                  "striped refcount slot ops completed by the cmpxchg fast path"};
+  kmon::counter kern_lockref_slow{
+      "machlock_kern_lockref_slow_total",
+      "striped refcount slot ops that took a slot lock (fallback or reconcile)"};
   kmon::callback_gauge kern_live_objects;  // kobject::live_objects() at snapshot
 
   // --- smp ---

@@ -17,8 +17,8 @@ namespace mach {
 // --- mc_item ---
 
 mc_item::mc_item(std::uint64_t key, zone& vz, std::uint64_t* block, const std::uint64_t* words,
-                 std::size_t len, refcount_policy policy)
-    : kobject("mc-item", policy), key_(key), vz_(vz), block_(block), len_(len) {
+                 std::size_t len)
+    : kobject("mc-item"), key_(key), vz_(vz), block_(block), len_(len) {
   for (std::size_t i = 0; i < len_; ++i) block_[i] = words[i];
 }
 
@@ -103,7 +103,7 @@ kern_return_t mc_cache::set(std::uint64_t key, const std::uint64_t* words, std::
     return KERN_RESOURCE_SHORTAGE;
   }
   ref_ptr<mc_item> item = make_object<mc_item>(key, vzone_, static_cast<std::uint64_t*>(block),
-                                               words, len, cfg_.item_policy);
+                                               words, len);
   ref_ptr<mc_item> displaced;
   shard& sh = shard_for(key);
   {

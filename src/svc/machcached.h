@@ -6,8 +6,8 @@
 // cache library:
 //
 //   * items are kernel objects (`mc_item` : kobject) — existence is
-//     coordinated by reference counting (section 8), with the count
-//     policy selectable per cache (the E7 four-way shoot-out, live);
+//     coordinated by reference counting (section 8), with kobject's
+//     default atomic count;
 //   * item values live in a zalloc zone (section 4's "memory allocation
 //     blocks if memory is not available" substrate) — the zone capacity
 //     is the cache's "physical memory" and SET observes backpressure
@@ -38,7 +38,7 @@
 #include "base/stats.h"
 #include "ipc/message.h"
 #include "ipc/port.h"
-#include "kern/refcount.h"
+#include "kern/object.h"
 #include "kern/zalloc.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
@@ -55,7 +55,7 @@ class mc_item final : public kobject {
   // immutable after construction, so readers holding a reference never
   // need the item lock (a SET replaces the whole item instead).
   mc_item(std::uint64_t key, zone& vz, std::uint64_t* block, const std::uint64_t* words,
-          std::size_t len, refcount_policy policy);
+          std::size_t len);
 
   std::uint64_t key() const noexcept { return key_; }
   std::size_t size() const noexcept { return len_; }
@@ -84,9 +84,6 @@ struct mc_cache_config {
   std::size_t max_items = 4096;
   // Fixed value-block size, in 64-bit words.
   std::size_t value_words = 8;
-  // Reference-count policy for items (kern/refcount.h); defaults to the
-  // kernel-wide default (MACHLOCK_REFCOUNT or lockref).
-  refcount_policy item_policy = default_refcount_policy();
 };
 
 struct mc_cache_stats {

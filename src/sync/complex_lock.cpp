@@ -249,6 +249,7 @@ bool lock_read_to_write(lock_t l) {
       wait_start = wait_stamp(wait_start);
       span_note_wait(l);
       wait_graph::instance().thread_waits(me, l, l->name);
+      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
     }
     lock_wait(l, bo);
   }

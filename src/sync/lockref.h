@@ -1,27 +1,28 @@
 // lockref — a spinlock and a reference count packed into one 64-bit word,
 // the Linux lib/lockref.c technique (SNIPPETS.md Snippet 1) adapted to
-// this library's conventions.
+// this library's conventions. It is the slot word of striped_refcount
+// (kern/refcount.h) and has no other user.
 //
-// The paper takes references under the object's simple lock (section 8);
-// at service scale that makes get/put the most-executed locked operation
-// in the kernel. The lockref observation: if the lock word and the count
-// share one 64-bit word, a get/put against an UNLOCKED object can update
-// the count with a single compare-exchange that simultaneously verifies
-// the lock is free — the paper's locking discipline is preserved (no
-// count ever changes while another CPU holds the lock) without the
-// fast path ever touching the lock.
+// The paper takes references under the object's simple lock (section 8).
+// The lockref observation: if the lock word and the count share one 64-bit
+// word, a get/put against an UNLOCKED slot can update the count with a
+// single compare-exchange that simultaneously verifies the lock is free —
+// the paper's locking discipline is preserved (no count ever changes while
+// another CPU holds the lock) without the fast path ever touching the lock.
+// striped_refcount's reconcile takes every slot lock to fold the slots into
+// one total; fast paths that meet a locked slot fall back to waiting on it.
 //
 // Word layout:
 //   bit  0      — embedded spinlock (kLockBit)
-//   bit  1      — dead/retired marker (kDeadBit), sticky once set; used by
-//                 striped_refcount slots to make clone-from-dead and
-//                 over-release detectable from a single word load
+//   bit  1      — dead/retired marker (kDeadBit), sticky once set; makes
+//                 clone-from-dead and over-release detectable from a
+//                 single word load
 //   bits 32..63 — signed 32-bit count
 //
 // This header is only the machine-level word: the cmpxchg step, the
-// embedded spinlock, and the locked accessors. The refcount policies that
-// build get/put semantics (bounded fast-path loops, fallback conditions,
-// panic discipline) live in kern/refcount.h.
+// embedded spinlock, and the locked accessors. The get/put semantics
+// (bounded fast-path loops, fallback conditions, panic discipline) live
+// in kern/refcount.h.
 //
 // The embedded spinlock is deliberately NOT a simple_lock_data_t: it has
 // no holder bookkeeping, no lockstat, and is never tracked — it exists so
@@ -42,7 +43,7 @@ class lockref64 {
  public:
   static constexpr std::uint64_t kLockBit = 1u << 0;
   static constexpr std::uint64_t kDeadBit = 1u << 1;
-  // Bound on fast-path cmpxchg retries before a policy falls back to its
+  // Bound on fast-path cmpxchg retries before a get/put falls back to the
   // locked path (Linux bounds the equivalent loop on some architectures to
   // avoid cmpxchg livelock against a stream of winners).
   static constexpr int kFastAttempts = 64;
@@ -72,7 +73,7 @@ class lockref64 {
                                        std::memory_order_acquire);
   }
 
-  // --- the embedded spinlock (policy slow paths and reconciles) ---
+  // --- the embedded spinlock (slow paths and reconciles) ---
 
   void lock() noexcept {
     backoff b;
@@ -85,13 +86,6 @@ class lockref64 {
       }
       b.pause();
     }
-  }
-
-  bool try_lock() noexcept {
-    std::uint64_t w = word_.load(std::memory_order_relaxed);
-    return !is_locked(w) &&
-           word_.compare_exchange_strong(w, w | kLockBit, std::memory_order_acquire,
-                                         std::memory_order_relaxed);
   }
 
   void unlock() noexcept { word_.fetch_and(~kLockBit, std::memory_order_release); }

@@ -1,11 +1,10 @@
 // stress_machcached: concurrency battery for the machcached item table
 // and the IPC-fronted service (svc/machcached.h) — concurrent GET/SET/
-// DELETE storms across every refcount policy and a shard-count sweep,
-// plus a service-teardown-vs-traffic race arm. Always built, runs under
-// ctest (sized to finish in seconds), and re-run under -fsanitize=thread
-// by the TSan CI job, where the read-side lock holds, the immutable-value
-// discipline, and the displaced-reference release paths get their real
-// audit. Scale knobs:
+// DELETE storms across a shard-count sweep, plus a service-teardown-vs-
+// traffic race arm. Always built, runs under ctest (sized to finish in
+// seconds), and re-run under -fsanitize=thread by the TSan CI job, where
+// the read-side lock holds, the immutable-value discipline, and the
+// displaced-reference release paths get their real audit. Scale knobs:
 //
 //   MACHLOCK_STRESS_THREADS  worker threads per arm      (default 4)
 //   MACHLOCK_STRESS_ITERS    ops per worker per arm      (default 20000)
@@ -45,17 +44,15 @@ int g_failures = 0;
 
 // Arm 1 — direct-API item-table storm: every worker mixes GET (and reads
 // the immutable value through its reference), SET (overwrites included)
-// and DELETE over a small hot keyspace, per refcount policy x shard
-// count. At quiesce: one reference per resident item, zone occupancy ==
-// residency, residency <= capacity, and every surviving value is
-// self-consistent (value[0] == key ^ tag — a torn or stale block would
-// break it).
-void table_storm(refcount_policy pol, int shards, int threads, int iters) {
+// and DELETE over a small hot keyspace, per shard count. At quiesce: one
+// reference per resident item, zone occupancy == residency, residency <=
+// capacity, and every surviving value is self-consistent (value[0] ==
+// key ^ tag — a torn or stale block would break it).
+void table_storm(int shards, int threads, int iters) {
   mc_cache_config cfg;
   cfg.shards = shards;
   cfg.max_items = 64;
   cfg.value_words = 4;
-  cfg.item_policy = pol;
   mc_cache cache(cfg);
   constexpr std::uint64_t keyspace = 48;  // < capacity: overwrite-heavy
   constexpr std::uint64_t tag = 0x5ca1ab1eull;
@@ -98,9 +95,8 @@ void table_storm(refcount_policy pol, int shards, int threads, int iters) {
   CHECK(cache.size() <= cfg.max_items, "residency exceeded capacity");
   const mc_cache_stats s = cache.stats();
   CHECK(s.hits + s.misses == s.gets, "get accounting leaked");
-  std::printf("table storm ok: policy=%s shards=%d (resident=%zu, %llu gets)\n",
-              refcount_policy_name(pol), cache.shards(), cache.size(),
-              static_cast<unsigned long long>(s.gets));
+  std::printf("table storm ok: shards=%d (resident=%zu, %llu gets)\n", cache.shards(),
+              cache.size(), static_cast<unsigned long long>(s.gets));
 }
 
 // Arm 2 — the full IPC service under load: run_mc_load already asserts
@@ -185,9 +181,7 @@ int main() {
   const int iters = env_int("MACHLOCK_STRESS_ITERS", 20000);
   const int rounds = env_int("MACHLOCK_STRESS_ROUNDS", 20);
 
-  for (refcount_policy pol : kRefcountPolicies) {
-    for (int shards : {1, 8}) table_storm(pol, shards, threads, iters);
-  }
+  for (int shards : {1, 8}) table_storm(shards, threads, iters);
   ipc_battery(threads);
   teardown_race(threads, rounds);
 

@@ -1,7 +1,7 @@
 // stress_refcount: concurrency battery for the refcount policies
 // (kern/refcount.h) — every policy, every path: cmpxchg fast paths, locked
-// fallbacks, lock-steal, striped cross-thread reconciles, and
-// last-reference destruction races, with a tracing-enabled arm.
+// fallbacks, striped cross-thread reconciles, and last-reference
+// destruction races, with a tracing-enabled arm.
 //
 // Unlike stress_core/stress_vm this driver is always built and runs under
 // ctest (it is sized to finish in seconds); the TSan CI job also builds
@@ -83,37 +83,7 @@ void storm(refcount_policy pol, int threads, int iters) {
   std::printf("storm ok: policy=%s\n", refcount_policy_name(pol));
 }
 
-// Arm 2 — lockref lock-steal: a stealer repeatedly holds the embedded
-// lock (forcing every concurrent op onto the locked fallback), workers
-// hammer get/put throughout. Exactness must survive the mode changes.
-void lock_steal(int threads, int iters) {
-  lockref_refcount c(1);
-  std::atomic<bool> stop{false};
-  auto stealer = kthread::spawn("stealer", [&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      c.lock();
-      for (int spin = 0; spin < 50; ++spin) cpu_relax();
-      c.unlock();
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::unique_ptr<kthread>> ts;
-  for (int t = 0; t < threads; ++t) {
-    ts.push_back(kthread::spawn("steal" + std::to_string(t), [&] {
-      for (int i = 0; i < iters; ++i) {
-        c.acquire();
-        CHECK(!c.release(), "lock-steal release claimed last");
-      }
-    }));
-  }
-  for (auto& t : ts) t->join();
-  stop.store(true);
-  stealer->join();
-  CHECK(c.value() == 1, "lock-steal did not balance");
-  std::printf("lock-steal ok: value=%d\n", c.value());
-}
-
-// Arm 3 — striped cross-thread releases: producers acquire (on their own
+// Arm 2 — striped cross-thread releases: producers acquire (on their own
 // slots), consumers release references they never acquired, draining other
 // threads' slots through the reconcile path. The handoff pool guarantees
 // a consumer never releases a reference before a producer acquired it.
@@ -150,7 +120,7 @@ void cross_thread_release(int threads, int iters) {
   std::printf("cross-thread ok: total=%d\n", total);
 }
 
-// Arm 4 — last-reference destruction races through kobject: every thread
+// Arm 3 — last-reference destruction races through kobject: every thread
 // releases one of the object's references at once; exactly one release
 // must destroy, and the live-object count must return to its base.
 void destruction_race(refcount_policy pol, int threads, int rounds) {
@@ -181,7 +151,7 @@ void destruction_race(refcount_policy pol, int threads, int rounds) {
   std::printf("destruction ok: policy=%s rounds=%d\n", refcount_policy_name(pol), rounds);
 }
 
-// Arm 5 — the same traffic with tracing enabled: the emit paths (which
+// Arm 4 — the same traffic with tracing enabled: the emit paths (which
 // run inside the fast paths and critical sections) must be as race-free
 // as the counts, and every destruction must leave its arg2==0 marker.
 void traced_storm(int threads, int iters) {
@@ -201,9 +171,9 @@ void traced_storm(int threads, int iters) {
     prev = e.rec.nanos;
     if (e.rec.kind == trace_kind::ref_release && e.rec.arg2 == 0) ++destroy_markers;
   }
-  // 4 policies x 4 rounds of destruction races (markers may be dropped on
+  // 3 policies x 4 rounds of destruction races (markers may be dropped on
   // ring wrap; with default rings this traffic fits).
-  CHECK(destroy_markers + c.total_dropped() >= 16, "missing destruction markers");
+  CHECK(destroy_markers + c.total_dropped() >= 12, "missing destruction markers");
   ktrace::reset();
   std::printf("traced ok: events=%zu dropped=%llu\n", c.events.size(),
               static_cast<unsigned long long>(c.total_dropped()));
@@ -221,7 +191,6 @@ int main() {
   const int rounds = env_int("MACHLOCK_STRESS_ROUNDS", 40);
 
   for (refcount_policy pol : kRefcountPolicies) storm(pol, threads, iters);
-  lock_steal(threads, iters);
   cross_thread_release(threads, iters);
   for (refcount_policy pol : kRefcountPolicies) destruction_race(pol, threads, rounds);
   traced_storm(threads, iters / 10 > 0 ? iters / 10 : 1);

@@ -100,15 +100,6 @@ TEST(McCache, QuiesceInvariantDetectsOutstandingReference) {
   EXPECT_TRUE(cache.check_quiesced(&why)) << why;
 }
 
-TEST(McCache, ItemPolicyIsAppliedToItems) {
-  mc_cache_config cfg = small_cache();
-  cfg.item_policy = refcount_policy::striped;
-  mc_cache cache(cfg);
-  const std::uint64_t v[1] = {1};
-  ASSERT_EQ(cache.set(1, v, 1), KERN_SUCCESS);
-  EXPECT_EQ(cache.get(1)->ref_policy(), refcount_policy::striped);
-}
-
 TEST(McServer, ServesGetSetDelOverIpc) {
   mc_cache cache(small_cache(2));
   machcached_config cfg;

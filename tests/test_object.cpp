@@ -1,16 +1,18 @@
 // Tests for kernel objects: reference counting, deactivation, ref_ptr
 // (paper sections 8 and 9). The refcount policy suites run against every
-// policy in kern/refcount.h (locked / atomic / lockref / striped), and the
+// policy in kern/refcount.h (locked / atomic / striped), and the
 // kobject/ref_ptr lifecycle suites are parameterized over the same set so
 // the object protocol is exercised through each count implementation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "kern/object.h"
 #include "kern/refcount.h"
+#include "metrics/kmetrics.h"
 #include "tests/test_util.h"
 #include "trace/ktrace.h"
 
@@ -22,8 +24,7 @@ namespace {
 template <typename Policy>
 class RefcountPolicyTest : public ::testing::Test {};
 
-using Policies =
-    ::testing::Types<locked_refcount, atomic_refcount, lockref_refcount, striped_refcount>;
+using Policies = ::testing::Types<locked_refcount, atomic_refcount, striped_refcount>;
 TYPED_TEST_SUITE(RefcountPolicyTest, Policies);
 
 TYPED_TEST(RefcountPolicyTest, StartsAtInitial) {
@@ -72,24 +73,6 @@ TYPED_TEST(RefcountPolicyTest, ConcurrentCloneReleaseIsExact) {
   EXPECT_EQ(c.value(), 1);
 }
 
-// While the embedded lock is held every lockref op must fall back to the
-// locked path and still be exact (the lockref contract: the lock bit makes
-// the holder the owner of the count).
-TEST(LockrefRefcount, OpsFallBackWhileLockIsHeld) {
-  lockref_refcount c(1);
-  c.lock();
-  std::thread other([&] {
-    c.acquire();  // must wait on the embedded lock, then succeed
-    EXPECT_FALSE(c.release());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  c.unlock();
-  other.join();
-  EXPECT_EQ(c.value(), 1);
-  EXPECT_TRUE(c.try_lock());
-  c.unlock();
-}
-
 // Cross-thread release: references acquired on one thread (slot) and
 // released on others must still produce exactly one release()==true —
 // the striped reconcile path, not the per-slot fast path.
@@ -110,6 +93,42 @@ TEST(StripedRefcount, CrossThreadReleasesAreExact) {
   EXPECT_EQ(last_seen.load(), 0);  // the creation reference survives
   EXPECT_EQ(c.value(), 1);
   EXPECT_TRUE(c.release());
+
+  // A fast path that meets a reconcile holding the slot locks falls back
+  // to its slot lock and stays exact. The releaser never acquires, so its
+  // slot is empty and each of its releases is a reconcile; the acquirer
+  // only acquires, so its ops leave the fast path only on a held slot.
+  // kern_lockref_slow counts both, so any surplus over the releases is a
+  // fallback. Rounds repeat until one is seen (or a deadline passes).
+  kmon::enable();
+  striped_refcount d(1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t fallbacks = 0;
+  while (fallbacks == 0 && std::chrono::steady_clock::now() < deadline) {
+    constexpr int round = 2000;
+    const std::uint64_t slow_before = kmet().kern_lockref_slow.value();
+    std::atomic<int> pool{0};  // acquired, not yet released
+    std::thread acquirer([&] {
+      for (int i = 0; i < round; ++i) {
+        d.acquire();
+        pool.fetch_add(1, std::memory_order_release);
+      }
+    });
+    std::thread releaser([&] {
+      for (int i = 0; i < round; ++i) {
+        while (pool.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+        pool.fetch_sub(1, std::memory_order_relaxed);
+        EXPECT_FALSE(d.release());
+      }
+    });
+    acquirer.join();
+    releaser.join();
+    fallbacks = kmet().kern_lockref_slow.value() - slow_before - round;
+  }
+  kmon::disable();
+  EXPECT_GT(fallbacks, 0u) << "no fast path met a reconcile holding its slot lock";
+  EXPECT_EQ(d.value(), 1);
+  EXPECT_TRUE(d.release());
 }
 
 // --- trace regression (the locked policy's ordering guarantee) ---
@@ -215,8 +234,7 @@ TEST_F(refcount_trace_fixture, EveryPolicyEmitsDestroyMarkerExactlyOnce) {
 // --- kobject (parameterized over every count policy) ---
 
 struct test_object : kobject {
-  explicit test_object(refcount_policy p = default_refcount_policy(),
-                       std::atomic<int>* destroyed = nullptr)
+  explicit test_object(refcount_policy p, std::atomic<int>* destroyed = nullptr)
       : kobject("test-object", p), destroyed_flag(destroyed) {}
   ~test_object() override {
     if (destroyed_flag != nullptr) destroyed_flag->fetch_add(1);

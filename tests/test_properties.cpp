@@ -168,7 +168,7 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
   EXPECT_GE(peak.load(), 2) << "readers never overlapped";
 }
 
-// --- refcount policies: all four implementations agree on observable
+// --- refcount policies: all three implementations agree on observable
 // semantics (the equivalence contract of kern/refcount.h) ---
 
 class RefcountPolicyEquivalence : public ::testing::TestWithParam<refcount_policy> {};

@@ -139,39 +139,49 @@ TEST(Watchdog, TripsOnThreadBlockedPastDeadline) {
   waiter->join();
 }
 
+// Readers that never drain starve both forms of writer the writer_wait
+// class covers: lock_write, and an upgrader parked in lock_read_to_write.
 TEST(Watchdog, TripsOnStarvedWriter) {
-  watchdog_config cfg;
-  cfg.poll = 5ms;
-  cfg.spin_deadline = 10s;
-  cfg.block_deadline = 10s;
-  cfg.writer_deadline = 50ms;
-  trip_collector trips(cfg);
+  for (const bool upgrade : {false, true}) {
+    SCOPED_TRACE(upgrade ? "lock_read_to_write" : "lock_write");
+    watchdog_config cfg;
+    cfg.poll = 5ms;
+    cfg.spin_deadline = 10s;
+    cfg.block_deadline = 10s;
+    cfg.writer_deadline = 50ms;
+    trip_collector trips(cfg);
 
-  lock_data_t l;
-  lock_init(&l, /*can_sleep=*/true, "starver-lock");
-  std::atomic<bool> reading{false};
-  std::atomic<bool> release{false};
-  auto reader = kthread::spawn("greedy-reader", [&] {
-    lock_read(&l);
-    reading.store(true);
-    while (!release.load()) std::this_thread::sleep_for(1ms);
-    lock_done(&l);
-  });
-  while (!reading.load()) std::this_thread::yield();
+    lock_data_t l;
+    lock_init(&l, /*can_sleep=*/true, "starver-lock");
+    std::atomic<bool> reading{false};
+    std::atomic<bool> release{false};
+    auto reader = kthread::spawn("greedy-reader", [&] {
+      lock_read(&l);
+      reading.store(true);
+      while (!release.load()) std::this_thread::sleep_for(1ms);
+      lock_done(&l);
+    });
+    while (!reading.load()) std::this_thread::yield();
 
-  auto writer = kthread::spawn("starved-writer", [&] {
-    lock_write(&l);
-    lock_done(&l);
-  });
+    auto writer = kthread::spawn("starved-writer", [&] {
+      if (upgrade) {
+        lock_read(&l);
+        if (!lock_read_to_write(&l)) lock_done(&l);  // false: upgraded, holds write
+      } else {
+        lock_write(&l);
+        lock_done(&l);
+      }
+    });
 
-  const std::string report = trips.wait_for_trip(2000ms);
-  ASSERT_FALSE(report.empty()) << "watchdog did not trip on a starved writer";
-  EXPECT_NE(report.find("starved complex-lock writer"), std::string::npos) << report;
-  EXPECT_NE(report.find("starver-lock"), std::string::npos) << report;
+    const std::string report = trips.wait_for_trip(2000ms);
+    EXPECT_FALSE(report.empty()) << "watchdog did not trip on a starved writer";
+    EXPECT_NE(report.find("starved complex-lock writer"), std::string::npos) << report;
+    EXPECT_NE(report.find("starver-lock"), std::string::npos) << report;
 
-  release.store(true);
-  reader->join();
-  writer->join();
+    release.store(true);
+    reader->join();
+    writer->join();
+  }
 }
 
 TEST(Watchdog, HealthyContentionDoesNotTrip) {
