@@ -12,8 +12,7 @@ std::atomic<std::uint64_t> g_live_objects{0};
 }  // namespace
 
 kobject::kobject(const char* type_name, refcount_policy ref_policy)
-    : ref_(ref_policy, 1), type_name_(type_name) {
-  simple_lock_init(&lock_, type_name);
+    : lock_(type_name), ref_(ref_policy, 1), type_name_(type_name) {
   g_live_objects.fetch_add(1, std::memory_order_relaxed);
 }
 

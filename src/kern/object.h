@@ -111,6 +111,7 @@ class kobject {
   bool active_ = true;
   const char* type_name_;
 };
+static_assert(sizeof(kobject) <= 128, "a kernel object is its lock, its count and a few words");
 
 // Smart pointer managing one reference to a kobject subtype.
 template <typename T>

@@ -52,7 +52,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <new>
+#include <span>
 #include <string>
 
 #include "base/panic.h"
@@ -66,9 +68,7 @@ namespace mach {
 // The paper's design: count guarded by a simple lock.
 class locked_refcount {
  public:
-  explicit locked_refcount(int initial = 1) : count_(initial) {
-    simple_lock_init(&lock_, "refcount", /*tracked=*/false);
-  }
+  explicit locked_refcount(int initial = 1) : lock_("refcount", /*track=*/false), count_(initial) {}
 
   void acquire(const char* who = nullptr) {
     const char* name = who != nullptr ? who : "locked_refcount";
@@ -152,15 +152,17 @@ class atomic_refcount {
 // Per-slot counters with a locked reconcile on release-to-zero.
 class striped_refcount {
  public:
-  static constexpr int kSlots = 8;
+  // Thread-affine slots: a thread uses its kmon way (round-robin at first
+  // use), so up to kSlots concurrent threads land on distinct cache lines.
+  static constexpr int kSlots = kmon::num_ways;
 
-  explicit striped_refcount(int initial = 1) : base_(initial) {
+  explicit striped_refcount(int initial = 1) : slots_(new slot_t[kSlots]), base_(initial) {
     if (initial <= 0) retire_slots_unlocked();
   }
 
   void acquire(const char* who = nullptr) {
     const char* name = who != nullptr ? who : "striped_refcount";
-    lockref64& s = slots_[my_slot()].word;
+    lockref64& s = slots_[kmon::detail::way_index()].word;
     std::uint64_t w = s.load();
     for (int attempt = 0; attempt < lockref64::kFastAttempts && !lockref64::is_locked(w);
          ++attempt) {
@@ -188,7 +190,7 @@ class striped_refcount {
 
   bool release(const char* who = nullptr) {
     const char* name = who != nullptr ? who : "striped_refcount";
-    lockref64& s = slots_[my_slot()].word;
+    lockref64& s = slots_[kmon::detail::way_index()].word;
     std::uint64_t w = s.load();
     for (int attempt = 0; attempt < lockref64::kFastAttempts && !lockref64::is_locked(w);
          ++attempt) {
@@ -214,7 +216,7 @@ class striped_refcount {
   // value(), it is a snapshot for tests and stats, not for decisions).
   int value() const {
     std::int64_t total = base_.load(std::memory_order_relaxed);
-    for (const auto& s : slots_) total += lockref64::count_of(s.word.load());
+    for (const auto& s : slots()) total += lockref64::count_of(s.word.load());
     return static_cast<int>(total);
   }
 
@@ -223,17 +225,11 @@ class striped_refcount {
     lockref64 word{0};
   };
 
-  // Thread-affine slot assignment: round-robin at first use, so up to
-  // kSlots concurrent threads land on distinct cache lines.
-  static unsigned my_slot() noexcept {
-    static std::atomic<unsigned> next{0};
-    thread_local unsigned mine = next.fetch_add(1, std::memory_order_relaxed);
-    return mine % kSlots;
-  }
+  std::span<slot_t> slots() const noexcept { return {slots_.get(), kSlots}; }
 
   // Only called from the constructor (initial <= 0): no concurrency yet.
   void retire_slots_unlocked() {
-    for (auto& s : slots_) s.word.unlock_to(0, lockref64::kDeadBit);
+    for (auto& s : slots()) s.word.unlock_to(0, lockref64::kDeadBit);
   }
 
   // The locked reconcile: take every slot lock (index order — the only
@@ -242,16 +238,16 @@ class striped_refcount {
   // locks are held every fast path fails its cmpxchg and waits, so the
   // fold is a true snapshot.
   bool reconcile_release(const char* name) {
-    for (auto& s : slots_) s.word.lock();
+    for (auto& s : slots()) s.word.lock();
     if (lockref64::is_dead(slots_[0].word.load())) {
-      for (auto& s : slots_) s.word.unlock();
+      for (auto& s : slots()) s.word.unlock();
       panic(std::string("reference over-release on ") + name);
     }
     std::int64_t total = base_.load(std::memory_order_relaxed);
-    for (auto& s : slots_) total += s.word.count_locked();
+    for (auto& s : slots()) total += s.word.count_locked();
     total -= 1;  // this release
     if (total < 0) {
-      for (auto& s : slots_) s.word.unlock();
+      for (auto& s : slots()) s.word.unlock();
       panic(std::string("reference over-release on ") + name);
     }
     const bool last = total == 0;
@@ -263,11 +259,13 @@ class striped_refcount {
                  last ? 0 : 1);
     // Fold: slots to zero; at zero total, retire them with the sticky
     // dead bit so every later op panics from a single word load.
-    for (auto& s : slots_) s.word.unlock_to(0, last ? lockref64::kDeadBit : 0);
+    for (auto& s : slots()) s.word.unlock_to(0, last ? lockref64::kDeadBit : 0);
     return last;
   }
 
-  slot_t slots_[kSlots];
+  // Out of line, so the count costs only objects that choose this policy
+  // (a krefcount is sized by its largest member).
+  std::unique_ptr<slot_t[]> slots_;
   // Folded remainder. Mutated only while ALL slot locks are held; atomic
   // so value() can snapshot it without them. Invariant: >= 1 while the
   // object is alive (the fold publishes the whole positive total here).
@@ -291,9 +289,9 @@ const char* refcount_policy_name(refcount_policy p) noexcept;
 
 // A reference count with the policy chosen at construction — the form
 // kobject embeds. Dispatch is one predictable switch; the storage is a
-// union so only the selected policy is ever constructed (constructing a
-// locked_refcount registers a lock; a striped_refcount is slot-array
-// sized — neither should be paid by objects using another policy).
+// union so only the selected policy is ever constructed, and is sized by
+// locked_refcount (a simple lock and an int): striped_refcount keeps its
+// slot array out of line, allocated only by objects that choose it.
 class krefcount {
  public:
   explicit krefcount(refcount_policy p, int initial = 1) : pol_(p) {

@@ -20,11 +20,9 @@ double lockstat_total(bool contended) {
 kmetrics_t::kmetrics_t()
     : kern_live_objects("machlock_kern_live_objects", "kobject instances currently alive",
                         [] { return static_cast<double>(kobject::live_objects()); }),
-      sync_locks_live("machlock_sync_locks_live", "locks registered in lock_registry",
-                      [] { return static_cast<double>(lock_registry::instance().live_locks()); }),
-      sync_acquisitions("machlock_sync_acquisitions", "lockstat: acquisitions across live locks",
+      sync_acquisitions("machlock_sync_acquisitions", "lockstat: acquisitions across all locks",
                         [] { return lockstat_total(false); }),
-      sync_contended("machlock_sync_contended", "lockstat: contended acquisitions across live locks",
+      sync_contended("machlock_sync_contended", "lockstat: contended acquisitions across all locks",
                      [] { return lockstat_total(true); }) {}
 
 kmetrics_t g_kmetrics;

@@ -102,7 +102,6 @@ struct kmetrics_t {
                                   "machcached server-side request service time"};
 
   // --- sync (bridged from lockstat at snapshot time) ---
-  kmon::callback_gauge sync_locks_live;
   kmon::callback_gauge sync_acquisitions;
   kmon::callback_gauge sync_contended;
 

@@ -16,13 +16,16 @@ namespace detail {
 
 std::atomic<bool> g_enabled{false};
 
-unsigned way_index() noexcept {
+constinit thread_local unsigned t_way = 0;
+
+unsigned claim_way() noexcept {
   // Round-robin stripe assignment at first use: cheap, stable per thread,
   // and spreads concurrent writers across ways even when thread ids are
   // clustered.
   static std::atomic<unsigned> next{0};
-  thread_local unsigned mine = next.fetch_add(1, std::memory_order_relaxed) % num_ways;
-  return mine;
+  const unsigned w = next.fetch_add(1, std::memory_order_relaxed) % num_ways;
+  t_way = w + 1;
+  return w;
 }
 
 }  // namespace detail
@@ -73,9 +76,9 @@ struct registry::impl {
 };
 
 registry& registry::instance() noexcept {
-  // Intentionally leaked, like lock_registry: metrics with static storage
-  // duration unregister during shutdown, possibly after any registry with
-  // a destructor would already be gone.
+  // Intentionally leaked: metrics with static storage duration unregister
+  // during shutdown, possibly after any registry with a destructor would
+  // already be gone.
   static registry* r = new registry;
   return *r;
 }

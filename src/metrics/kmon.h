@@ -42,10 +42,18 @@
 
 namespace mach::kmon {
 
+inline constexpr unsigned num_ways = 8;
+
 namespace detail {
 extern std::atomic<bool> g_enabled;
-// The calling thread's stripe index in [0, num_ways).
-unsigned way_index() noexcept;
+// The calling thread's stripe index plus one; 0 until its first use.
+extern constinit thread_local unsigned t_way;
+unsigned claim_way() noexcept;
+// The calling thread's stripe index in [0, num_ways); inline for lockstat.
+inline unsigned way_index() noexcept {
+  const unsigned w = t_way;
+  return w != 0 ? w - 1 : claim_way();
+}
 }  // namespace detail
 
 // The global switch. enabled() is the update fast path: a single relaxed
@@ -70,9 +78,8 @@ struct metric_sample {
 
 class metric;
 
-// Global, never-destroyed directory of live metrics (same lifetime
-// discipline as lock_registry: metrics with static storage duration may
-// unregister after main).
+// Global, never-destroyed directory of live metrics (metrics with static
+// storage duration may unregister after main).
 class registry {
  public:
   static registry& instance() noexcept;
@@ -125,8 +132,6 @@ class metric {
   std::string label_key_;
   std::string label_value_;
 };
-
-inline constexpr unsigned num_ways = 8;
 
 // Monotonic event counter, striped to keep concurrent writers off one
 // cacheline. value() is a racy sum — the usual diagnostics trade.

@@ -34,7 +34,7 @@ const char* to_string(stall_kind k) noexcept {
 namespace watchdog_detail {
 
 std::atomic<bool> g_armed{false};
-thread_local int t_wait_depth = 0;
+constinit thread_local int t_wait_depth = 0;
 
 namespace {
 

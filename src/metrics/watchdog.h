@@ -46,7 +46,7 @@ const char* to_string(stall_kind k) noexcept;
 
 namespace watchdog_detail {
 extern std::atomic<bool> g_armed;
-extern thread_local int t_wait_depth;
+extern constinit thread_local int t_wait_depth;
 void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept;
 void note_wait_end_slow() noexcept;
 }  // namespace watchdog_detail

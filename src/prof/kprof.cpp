@@ -7,12 +7,10 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "base/stats.h"
 #include "metrics/kmon.h"
 #include "sync/deadlock.h"
-#include "sync/lockstat.h"
 #include "trace/trace_export.h"
 
 namespace mach::kprof {
@@ -31,7 +29,7 @@ const char* to_string(activity a) noexcept {
 namespace detail {
 
 activity_slot g_slots[k_slots];
-thread_local activity_slot* t_slot = nullptr;
+constinit thread_local activity_slot* t_slot = nullptr;
 
 namespace {
 
@@ -78,30 +76,15 @@ namespace {
 // Decode a packed subject into the exporter's site string. Lock-state
 // subjects are static name pointers (the ktrace lifetime contract) and are
 // reconstructed directly — user-space pointers fit well inside the 55-bit
-// field. Blocked subjects are event addresses: resolved against the lock
-// registry when the event is a live lock (thread_sleep-style waits on the
-// lock's own address), hex otherwise.
-std::string resolve_site(activity state, std::uint64_t subject,
-                         const std::unordered_map<std::uint64_t, const char*>* locks_by_addr) {
+// field. Blocked subjects are event addresses, rendered as hex.
+std::string resolve_site(activity state, std::uint64_t subject) {
   if (subject == 0) return {};
   if (state == activity::blocked) {
-    if (locks_by_addr != nullptr) {
-      auto it = locks_by_addr->find(subject);
-      if (it != locks_by_addr->end()) return it->second;
-    }
     char buf[32];
     std::snprintf(buf, sizeof buf, "event:0x%llx", static_cast<unsigned long long>(subject));
     return buf;
   }
   return reinterpret_cast<const char*>(static_cast<std::uintptr_t>(subject));
-}
-
-std::unordered_map<std::uint64_t, const char*> live_lock_addresses() {
-  std::unordered_map<std::uint64_t, const char*> out;
-  for (const lock_stat_entry& e : lock_registry::instance().snapshot()) {
-    out.emplace(reinterpret_cast<std::uintptr_t>(e.address) & k_subject_mask, e.name);
-  }
-  return out;
 }
 
 }  // namespace
@@ -115,15 +98,7 @@ thread_activity activity_for(const void* token) noexcept {
     out.found = true;
     out.state = unpack_state(w);
     out.request = unpack_request(w);
-    const std::uint64_t subject = unpack_subject(w);
-    if (subject != 0) {
-      if (out.state == activity::blocked) {
-        const auto locks = live_lock_addresses();
-        out.site = resolve_site(out.state, subject, &locks);
-      } else {
-        out.site = resolve_site(out.state, subject, nullptr);
-      }
-    }
+    out.site = resolve_site(out.state, unpack_subject(w));
     return out;
   }
   return out;
@@ -263,13 +238,12 @@ profile sampler::snapshot() const {
     p.flight.assign(s.flight.begin(), s.flight.end());
     agg = s.agg;
   }
-  const auto locks = live_lock_addresses();
   p.sites.reserve(agg.size());
   for (const auto& [w, c] : agg) {
     site_sample ss;
     ss.state = unpack_state(w);
     ss.request = unpack_request(w);
-    ss.site = resolve_site(ss.state, unpack_subject(w), &locks);
+    ss.site = resolve_site(ss.state, unpack_subject(w));
     ss.count = c.count;
     ss.weight_nanos = c.weight_nanos;
     p.sites.push_back(std::move(ss));

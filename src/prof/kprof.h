@@ -30,8 +30,7 @@
 //                  publishing them would put stores on the uncontended
 //                  fast path (the paper's cardinal sin);
 //   blocked      — suspended in thread_block; subject = event address,
-//                  resolved against the lock registry at export when the
-//                  event is a live lock (thread_sleep style waits).
+//                  exported as "event:0x...".
 //
 // Word layout: [63:56] state, [55] request flag (a kspan context was
 // active when published), [54:0] subject. Lock-state subjects are static
@@ -97,7 +96,7 @@ struct alignas(cacheline_size) activity_slot {
 
 inline constexpr int k_slots = 256;
 extern activity_slot g_slots[k_slots];
-extern thread_local activity_slot* t_slot;
+extern constinit thread_local activity_slot* t_slot;
 
 // Claim a slot for the calling thread (releasing it at thread exit) and
 // return it. When the table is full the thread gets a private overflow

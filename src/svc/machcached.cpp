@@ -411,10 +411,8 @@ mc_load_result run_mc_load(const mc_load_spec& spec) {
 
   mc_load_result r;
   server.stop();
-  // Snapshot after stop() — every worker has joined, so the stats are
-  // quiescent — but before the server/cache objects die: locks only
-  // unregister from the registry at destruction, so the service port and
-  // shard entries are still present here.
+  // Snapshot after stop(): every worker has joined, so the stats are
+  // quiescent.
   r.lock_top = lock_registry::instance().snapshot();
   r.wall_nanos = wall;
   for (const conn_result& c : results) {

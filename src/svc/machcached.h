@@ -205,10 +205,9 @@ struct mc_load_result {
   std::uint64_t reply_timeouts = 0;     // bounded reply receives that timed out
   std::uint64_t served = 0;             // server-side request count
   mc_cache_stats cache_stats;
-  // lock_registry snapshot taken before teardown, while the cache's shard
-  // locks and the service port are still registered — the raw material for
-  // the E17 contention top table. Counters are cumulative per lock, not
-  // per run.
+  // lock_registry snapshot taken once the workers have joined — the raw
+  // material for the E17 contention top table. Counters are cumulative per
+  // lock name over the process, not per run.
   std::vector<lock_stat_entry> lock_top;
 
   double ops_per_second() const noexcept;

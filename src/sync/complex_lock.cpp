@@ -12,6 +12,15 @@
 namespace mach {
 namespace {
 
+// --- statistics (interlock held) ---
+
+// Count an acquisition in the lock's own stats (lock_stats) and its name's
+// (lockstat).
+inline void count_acquisition(lock_t l, std::uint64_t& counter) {
+  ++counter;
+  l->stat_class->count_acquisition();
+}
+
 // --- hold/wait-time profiling (ktrace-gated; interlock held) ---
 
 // Stamp the start of a wait the first time a wait loop iterates.
@@ -27,13 +36,13 @@ inline void span_note_wait(lock_t l) {
   kspan::note_blocked(l->name, l, l->write_holder);
 }
 
-// Close a wait span opened by wait_stamp: feed the per-lock histogram and
+// Close a wait span opened by wait_stamp: feed the name's wait profile and
 // emit the trace record. `kind` distinguishes read/write/upgrade waits.
 inline void wait_finish(lock_t l, std::uint64_t start, trace_kind kind) {
   if (start == 0 || !ktrace::enabled()) return;
   const std::uint64_t end = now_nanos();
   const std::uint64_t wait = end - start;
-  l->wait_hist.record(wait);
+  l->stat_class->record_wait(wait);
   ktrace::emit_span(kind, l->name, reinterpret_cast<std::uint64_t>(l), wait, end);
 }
 
@@ -48,7 +57,7 @@ inline void hold_finish(lock_t l) {
   const std::uint64_t end = now_nanos();
   const std::uint64_t hold = end - l->write_acquire_nanos;
   l->write_acquire_nanos = 0;
-  l->hold_hist.record(hold);
+  l->stat_class->record_hold(hold);
   ktrace::emit_span(trace_kind::complex_write_held, l->name,
                     reinterpret_cast<std::uint64_t>(l), hold, end);
 }
@@ -67,12 +76,14 @@ void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
   if (l->can_sleep || force_sleep) {
     l->waiting = true;
     ++l->stats.sleeps;
+    l->stat_class->count_contended();
     assert_wait(l);
     simple_unlock(&l->interlock);
     thread_block();
     simple_lock(&l->interlock);
   } else {
     ++l->stats.spins;
+    l->stat_class->count_contended();
     simple_unlock(&l->interlock);
     bo.pause();
     simple_lock(&l->interlock);
@@ -127,9 +138,8 @@ void lock_init(lock_t l, bool can_sleep, const char* name) {
   l->write_holder = nullptr;
   l->name = name;
   l->stats = complex_lock_stats{};
+  l->stat_class = lock_stat_class::find(name, true);
   l->write_acquire_nanos = 0;
-  l->hold_hist = latency_histogram{};
-  l->wait_hist = latency_histogram{};
 }
 
 void lock_read(lock_t l) {
@@ -141,7 +151,7 @@ void lock_read(lock_t l) {
     // requests are waiting on.
     ++l->read_count;
     ++l->stats.recursive_acquisitions;
-    ++l->stats.read_acquisitions;
+    count_acquisition(l, l->stats.read_acquisitions);
     simple_unlock(&l->interlock);
     return;
   }
@@ -162,7 +172,7 @@ void lock_read(lock_t l) {
     wait_finish(l, wait_start, trace_kind::complex_read_wait);
   }
   ++l->read_count;
-  ++l->stats.read_acquisitions;
+  count_acquisition(l, l->stats.read_acquisitions);
   kprof::publish(kprof::activity::holding, l->name);
   wait_graph::instance().resource_held(l, me, l->name);
   simple_unlock(&l->interlock);
@@ -175,7 +185,7 @@ void lock_write(lock_t l) {
     if (l->want_write && l->write_holder == me) {
       ++l->recursion_depth;
       ++l->stats.recursive_acquisitions;
-      ++l->stats.write_acquisitions;
+      count_acquisition(l, l->stats.write_acquisitions);
       simple_unlock(&l->interlock);
       return;
     }
@@ -213,7 +223,7 @@ void lock_write(lock_t l) {
     wait_finish(l, wait_start, trace_kind::complex_write_wait);
   }
   l->write_holder = me;
-  ++l->stats.write_acquisitions;
+  count_acquisition(l, l->stats.write_acquisitions);
   hold_begin(l);
   kprof::publish(kprof::activity::holding, l->name);
   wait_graph::instance().resource_held(l, me, l->name);
@@ -329,7 +339,7 @@ bool lock_try_read(lock_t l) {
   if (l->recursion_thread == me) {
     ++l->read_count;
     ++l->stats.recursive_acquisitions;
-    ++l->stats.read_acquisitions;
+    count_acquisition(l, l->stats.read_acquisitions);
     simple_unlock(&l->interlock);
     return true;
   }
@@ -338,7 +348,7 @@ bool lock_try_read(lock_t l) {
     return false;
   }
   ++l->read_count;
-  ++l->stats.read_acquisitions;
+  count_acquisition(l, l->stats.read_acquisitions);
   kprof::publish(kprof::activity::holding, l->name);
   wait_graph::instance().resource_held(l, me, l->name);
   simple_unlock(&l->interlock);
@@ -351,7 +361,7 @@ bool lock_try_write(lock_t l) {
   if (l->recursion_thread == me && l->want_write && l->write_holder == me) {
     ++l->recursion_depth;
     ++l->stats.recursive_acquisitions;
-    ++l->stats.write_acquisitions;
+    count_acquisition(l, l->stats.write_acquisitions);
     simple_unlock(&l->interlock);
     return true;
   }
@@ -361,7 +371,7 @@ bool lock_try_write(lock_t l) {
   }
   l->want_write = true;
   l->write_holder = me;
-  ++l->stats.write_acquisitions;
+  count_acquisition(l, l->stats.write_acquisitions);
   hold_begin(l);
   kprof::publish(kprof::activity::holding, l->name);
   wait_graph::instance().resource_held(l, me, l->name);

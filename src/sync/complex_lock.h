@@ -30,7 +30,6 @@
 
 #include <cstdint>
 
-#include "base/stats.h"
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 
@@ -74,22 +73,23 @@ struct lock_data_t {
 
   // Debug/tracking:
   const void* write_holder = nullptr;  // thread holding for write/upgrade
-  const char* name = "complex-lock";
+  const char* name;
   complex_lock_stats stats;
-  // Hold/wait-time profiling (ktrace-gated, like simple locks; see
-  // sync/simple_lock.h). wait_hist covers read, write, and upgrade waits;
-  // hold_hist covers write-side holds (a read hold is shared by many
-  // threads at once, so per-holder read spans are not tracked). All
-  // mutated under the interlock.
+  // Name-wide acquisition/contention counters and hold/wait profile
+  // (sync/lockstat.h), bumped under the interlock. The wait profile covers
+  // read, write, and upgrade waits; the hold profile covers write-side
+  // holds (a read hold is shared by many threads at once, so per-holder
+  // read spans are not tracked).
+  lock_stat_class* stat_class;
+  // Start of the current write-side hold while ktrace is enabled, else 0.
   std::uint64_t write_acquire_nanos = 0;
-  latency_histogram hold_hist;
-  latency_histogram wait_hist;
 
-  lock_data_t() { lock_registry::instance().add(this); }
-  ~lock_data_t() { lock_registry::instance().remove(this); }
+  lock_data_t() : lock_data_t("complex-lock") {}
+  explicit lock_data_t(const char* n) : name(n), stat_class(lock_stat_class::find(n, true)) {}
   lock_data_t(const lock_data_t&) = delete;
   lock_data_t& operator=(const lock_data_t&) = delete;
 };
+static_assert(sizeof(lock_data_t) <= 192, "a complex lock is its state plus an interlock");
 
 // All interface routines take a pointer, as in the paper.
 using lock_t = lock_data_t*;

@@ -4,95 +4,87 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <set>
+#include <string_view>
 
 #include "harness/table.h"
-#include "sync/complex_lock.h"
-#include "sync/simple_lock.h"
 #include "trace/trace_export.h"
 
 namespace mach {
 
-struct lock_registry::impl {
-  mutable std::mutex m;
-  std::set<simple_lock_data_t*> simple;
-  std::set<lock_data_t*> complex;
-};
-
-lock_registry& lock_registry::instance() noexcept {
-  // Intentionally leaked: locks with static storage duration unregister
-  // during shutdown, possibly after any registry with a destructor would
-  // already be gone.
-  static lock_registry* r = new lock_registry;
-  return *r;
-}
-
-lock_registry::impl& lock_registry::self() const {
-  static impl* i = new impl;
-  return *i;
-}
-
-void lock_registry::add(simple_lock_data_t* l) {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  s.simple.insert(l);
-}
-
-void lock_registry::remove(simple_lock_data_t* l) {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  s.simple.erase(l);
-}
-
-void lock_registry::add(lock_data_t* l) {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  s.complex.insert(l);
-}
-
-void lock_registry::remove(lock_data_t* l) {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  s.complex.erase(l);
-}
-
-std::size_t lock_registry::live_locks() const {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  return s.simple.size() + s.complex.size();
-}
-
 namespace {
 
-void fill_latency(lock_stat_entry& e, const latency_histogram& hold,
-                  const latency_histogram& wait) {
-  e.hold_samples = hold.count();
-  e.hold_p50_nanos = hold.quantile_nanos(0.5);
-  e.hold_p99_nanos = hold.quantile_nanos(0.99);
-  e.wait_samples = wait.count();
-  e.wait_p50_nanos = wait.quantile_nanos(0.5);
-  e.wait_p99_nanos = wait.quantile_nanos(0.99);
+// Classes hash by (name, kind) into fixed buckets. A bucket is a chain
+// that only grows at its head, published with a release store, so readers
+// walk it without a lock; creators serialize on one mutex.
+constexpr std::size_t k_buckets = 256;
+std::atomic<lock_stat_class*> g_buckets[k_buckets];
+
+std::mutex& create_mutex() {
+  // Intentionally leaked: locks with static storage duration may look up
+  // their class during shutdown.
+  static std::mutex* m = new std::mutex;
+  return *m;
+}
+
+std::size_t bucket_of(const char* name, bool is_complex) {
+  return (std::hash<std::string_view>{}(name) ^ (is_complex ? 1u : 0u)) % k_buckets;
+}
+
+void record_locked(std::atomic_flag& busy, latency_histogram& h, std::uint64_t nanos) {
+  while (busy.test_and_set(std::memory_order_acquire)) cpu_relax();
+  h.record(nanos);
+  busy.clear(std::memory_order_release);
 }
 
 }  // namespace
 
+lock_stat_class* lock_stat_class::find(const char* name, bool is_complex) {
+  auto search = [&](lock_stat_class* c) {
+    while (c != nullptr && (c->is_complex != is_complex || c->name != name)) c = c->next;
+    return c;
+  };
+  std::atomic<lock_stat_class*>& bucket = g_buckets[bucket_of(name, is_complex)];
+  if (lock_stat_class* c = search(bucket.load(std::memory_order_acquire))) return c;
+  std::lock_guard<std::mutex> g(create_mutex());
+  lock_stat_class* head = bucket.load(std::memory_order_relaxed);
+  if (lock_stat_class* c = search(head)) return c;
+  auto* c = new lock_stat_class{name, is_complex};
+  c->next = head;
+  bucket.store(c, std::memory_order_release);
+  return c;
+}
+
+void lock_stat_class::record_hold(std::uint64_t nanos) noexcept {
+  record_locked(profile_busy, hold, nanos);
+}
+
+void lock_stat_class::record_wait(std::uint64_t nanos) noexcept {
+  record_locked(profile_busy, wait, nanos);
+}
+
+lock_registry& lock_registry::instance() noexcept {
+  static lock_registry r;
+  return r;
+}
+
 std::vector<lock_stat_entry> lock_registry::snapshot() const {
-  impl& s = self();
   std::vector<lock_stat_entry> out;
-  {
-    std::lock_guard<std::mutex> g(s.m);
-    out.reserve(s.simple.size() + s.complex.size());
-    for (simple_lock_data_t* l : s.simple) {
-      lock_stat_entry e{l, l->name, false, l->stat_acquisitions, l->stat_contended};
-      fill_latency(e, l->hold_hist, l->wait_hist);
-      out.push_back(e);
-    }
-    for (lock_data_t* l : s.complex) {
-      // Racy reads of the interlock-protected stats: fine for diagnostics.
-      lock_stat_entry e{l, l->name, true,
-                        l->stats.read_acquisitions + l->stats.write_acquisitions,
-                        l->stats.sleeps + l->stats.spins};
-      fill_latency(e, l->hold_hist, l->wait_hist);
+  for (const std::atomic<lock_stat_class*>& bucket : g_buckets) {
+    for (lock_stat_class* c = bucket.load(std::memory_order_acquire); c != nullptr;
+         c = c->next) {
+      lock_stat_entry e{c->name.c_str(), c->is_complex, 0, 0};
+      for (const lock_stat_class::way& w : c->ways) {
+        e.acquisitions += w.acquisitions.load(std::memory_order_relaxed);
+        e.contended += w.contended.load(std::memory_order_relaxed);
+      }
+      while (c->profile_busy.test_and_set(std::memory_order_acquire)) cpu_relax();
+      e.hold_samples = c->hold.count();
+      e.hold_p50_nanos = c->hold.quantile_nanos(0.5);
+      e.hold_p99_nanos = c->hold.quantile_nanos(0.99);
+      e.wait_samples = c->wait.count();
+      e.wait_p50_nanos = c->wait.quantile_nanos(0.5);
+      e.wait_p99_nanos = c->wait.quantile_nanos(0.99);
+      c->profile_busy.clear(std::memory_order_release);
       out.push_back(e);
     }
   }
@@ -100,11 +92,10 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
     if (a.contended != b.contended) return a.contended > b.contended;
     if (a.acquisitions != b.acquisitions) return a.acquisitions > b.acquisitions;
     // Deterministic tie-breaks so output is stable across runs: name,
-    // then address (addresses differ between runs but make the order
-    // total within one).
+    // then kind ((name, kind) is unique, so the order is total).
     const int byname = std::strcmp(a.name, b.name);
     if (byname != 0) return byname < 0;
-    return a.address < b.address;
+    return a.is_complex < b.is_complex;
   });
   return out;
 }
@@ -124,7 +115,7 @@ std::string ns_cell(std::uint64_t samples, std::uint64_t nanos) {
 
 void lock_registry::print_top(std::size_t max_rows) const {
   std::vector<lock_stat_entry> snap = snapshot();
-  table t("lockstat: most contended live locks (" + std::to_string(snap.size()) + " registered)");
+  table t("lockstat: most contended lock names (" + std::to_string(snap.size()) + " classes)");
   t.columns({"lock", "kind", "acquisitions", "contended", "hold p50", "hold p99", "wait p50",
              "wait p99"});
   std::size_t rows = 0;

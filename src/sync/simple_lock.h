@@ -43,33 +43,27 @@ namespace mach {
 struct simple_lock_data_t {
   std::atomic<int> word{0};  // the paper's "C integer"
   // Debugging & statistics extension, per Appendix A.1:
-  std::atomic<const void*> holder{nullptr};
-  const char* name = "simple-lock";
   spin_policy policy = spin_policy::tas_then_ttas;
   bool tracked = true;
-  // lockstat counters, mutated only while the lock is held (no extra
-  // synchronization needed; see sync/lockstat.h).
-  std::uint64_t stat_acquisitions = 0;
-  std::uint64_t stat_contended = 0;
-  // Hold/wait-time profiling, populated only while ktrace is enabled
-  // (clock reads are too expensive for the always-on path). acquire_nanos
-  // is the current hold's start (0 when untimed); the histograms are
-  // mutated only while the lock is held, like the counters above.
+  std::atomic<const void*> holder{nullptr};
+  const char* name;
+  // Counters and hold/wait profile shared by every lock with this name
+  // (sync/lockstat.h), bumped only while the lock is held.
+  lock_stat_class* stat_class;
+  // Start of the current hold when it is timed (ktrace enabled at
+  // acquisition; clock reads are too expensive for the always-on path),
+  // 0 when untimed.
   std::uint64_t acquire_nanos = 0;
-  latency_histogram hold_hist;
-  latency_histogram wait_hist;
 
-  simple_lock_data_t() { lock_registry::instance().add(this); }
+  simple_lock_data_t() : simple_lock_data_t("simple-lock") {}
   explicit simple_lock_data_t(const char* n, bool track = true,
                               spin_policy p = spin_policy::tas_then_ttas)
-      : name(n), policy(p), tracked(track) {
-    lock_registry::instance().add(this);
-  }
-  ~simple_lock_data_t() { lock_registry::instance().remove(this); }
+      : policy(p), tracked(track), name(n), stat_class(lock_stat_class::find(n, false)) {}
 
   simple_lock_data_t(const simple_lock_data_t&) = delete;
   simple_lock_data_t& operator=(const simple_lock_data_t&) = delete;
 };
+static_assert(sizeof(simple_lock_data_t) <= 40, "a simple lock is a word plus a few pointers");
 
 // Appendix A declaration macro: `class` is a storage-class prefix
 // (e.g. static), `name` the variable name.
@@ -82,11 +76,10 @@ inline void simple_lock_init(simple_lock_data_t* l, const char* name = "simple-l
   l->word.store(0, std::memory_order_relaxed);
   l->holder.store(nullptr, std::memory_order_relaxed);
   l->name = name;
+  l->stat_class = lock_stat_class::find(name, false);
   l->policy = policy;
   l->tracked = tracked;
   l->acquire_nanos = 0;
-  l->hold_hist = latency_histogram{};
-  l->wait_hist = latency_histogram{};
 }
 
 namespace detail {
@@ -102,7 +95,7 @@ namespace detail {
   // span while we still own the lock.
   const std::uint64_t end = now_nanos();
   const std::uint64_t hold = end - l->acquire_nanos;
-  l->hold_hist.record(hold);
+  l->stat_class->record_hold(hold);
   l->acquire_nanos = 0;
   ktrace::emit_span(trace_kind::simple_lock_held, l->name, reinterpret_cast<std::uint64_t>(l),
                     hold, end);
@@ -110,7 +103,7 @@ namespace detail {
 
 inline void note_acquired(simple_lock_data_t* l, const void* me) {
   l->holder.store(me, std::memory_order_relaxed);
-  ++l->stat_acquisitions;  // safe: we hold the lock
+  l->stat_class->count_acquisition();
   // Hold-time profiling only while tracing: the enabled() check is one
   // relaxed load, so the disabled fast path stays clock-free.
   l->acquire_nanos = 0;
@@ -156,12 +149,12 @@ inline void simple_lock(simple_lock_data_t* l, spin_stats* stats = nullptr) {
   }
   detail::note_acquired(l, me);
   if (contended) {
-    ++l->stat_contended;  // safe: we hold the lock
+    l->stat_class->count_contended();
     // acquire_nanos doubles as the wait's end stamp; both are non-zero
     // only if tracing stayed on across the whole wait.
     if (wait_start != 0 && l->acquire_nanos != 0) {
       const std::uint64_t wait = l->acquire_nanos - wait_start;
-      l->wait_hist.record(wait);  // safe: we hold the lock
+      l->stat_class->record_wait(wait);
       ktrace::emit_span(trace_kind::simple_lock_wait, l->name,
                         reinterpret_cast<std::uint64_t>(l), wait, l->acquire_nanos);
     }

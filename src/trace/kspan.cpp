@@ -14,7 +14,7 @@ namespace mach::kspan {
 namespace detail {
 
 std::atomic<bool> g_enabled{false};
-thread_local span_ctx_t tl_ctx = 0;
+constinit thread_local span_ctx_t tl_ctx = 0;
 
 namespace {
 

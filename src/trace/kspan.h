@@ -52,7 +52,7 @@ extern std::atomic<bool> g_enabled;
 // The calling thread's active context; read by ktrace::detail::emit_slow to
 // stamp every record, and by the watchdog wait hooks to name the stalled
 // request. Written only by the owning thread (scope ctors/dtors).
-extern thread_local span_ctx_t tl_ctx;
+extern constinit thread_local span_ctx_t tl_ctx;
 // Allocate a fresh root context (new trace id, span id 1) / a child of
 // `parent` (same trace id, fresh span id).
 span_ctx_t make_root() noexcept;

@@ -9,6 +9,7 @@
 #include "ipc/stubs.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
+#include "sync/lockstat.h"
 #include "tests/test_util.h"
 
 namespace mach {
@@ -236,9 +237,13 @@ TEST(PortRace, DestroyDeactivatesAndDrainsInOneCriticalSection) {
   // The pre-fix code acquires it twice and fails this assertion.
   auto p = make_object<port>();
   EXPECT_EQ(p->send(message(7)), KERN_SUCCESS);  // non-empty: the drain is real
-  const std::uint64_t before = p->lock_addr()->stat_acquisitions;
+  // Lock statistics are per name: count the port class's acquisitions on
+  // this thread's way, which no other thread of this test writes.
+  const std::atomic<std::uint64_t>& acquisitions =
+      p->lock_addr()->stat_class->ways[kmon::detail::way_index()].acquisitions;
+  const std::uint64_t before = acquisitions.load();
   p->destroy_port();
-  const std::uint64_t taken = p->lock_addr()->stat_acquisitions - before;
+  const std::uint64_t taken = acquisitions.load() - before;
   EXPECT_EQ(taken, 1u)
       << "destroy_port took the port lock " << taken
       << " times; deactivate+drain must happen under a single hold, or a "

@@ -223,8 +223,7 @@ TEST_F(kprof_fixture, AttributesScriptedSpinWaitBlockAndAgreesWithLockstat) {
   ASSERT_NE(wait, nullptr) << "writer never sampled waiting on kprof-rw-lock";
   EXPECT_GT(wait->count, 0u);
 
-  // The blocker's subject is the event address — no live lock at that
-  // address, so it renders as an event label.
+  // The blocker's subject is the event address, rendered as an event label.
   bool saw_blocked_event = false;
   for (const kprof::site_sample& cell : p.sites) {
     if (cell.state == kprof::activity::blocked &&

@@ -294,7 +294,8 @@ TEST_P(KObjectPolicy, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
   simple_unlock(&l);
   // The count already dropped before the panic fired; recreate cleanly.
   // (In production the panic halts the kernel, so no recovery is defined;
-  // here we just stop touching the object.)
+  // here nothing else points at the dead object, so free it directly.)
+  delete o;
 }
 
 TEST_P(KObjectPolicy, DeactivationProtocol) {

@@ -278,20 +278,24 @@ TEST_F(ktrace_fixture, TraceSessionWritesParseableFile) {
 }
 
 TEST_F(ktrace_fixture, LockHoldAndWaitFeedTheRegistryHistograms) {
-  simple_lock_data_t l("hist-feed");
-  ktrace::enable();
-  for (int i = 0; i < 3; ++i) {
-    simple_lock(&l);
-    simple_unlock(&l);
-  }
-  ktrace::disable();
-  for (const auto& e : lock_registry::instance().snapshot()) {
-    if (e.address == &l) {
-      EXPECT_EQ(e.hold_samples, 3u);  // every traced unlock recorded a hold
-      return;
+  // The hold profile belongs to the lock's name, which outlives the lock.
+  auto hold_samples = [] {
+    for (const auto& e : lock_registry::instance().snapshot()) {
+      if (!e.is_complex && std::string(e.name) == "hist-feed") return e.hold_samples;
     }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before = hold_samples();
+  {
+    simple_lock_data_t l("hist-feed");
+    ktrace::enable();
+    for (int i = 0; i < 3; ++i) {
+      simple_lock(&l);
+      simple_unlock(&l);
+    }
+    ktrace::disable();
   }
-  FAIL() << "lock not found in registry snapshot";
+  EXPECT_EQ(hold_samples() - before, 3u);  // every traced unlock recorded a hold
 }
 
 TEST_F(ktrace_fixture, RegistrySnapshotJsonIsParseable) {
