@@ -192,9 +192,12 @@ struct event_system {
     t->wait_cv_.notify_all();
   }
 
+  // Wake-one delivers its single thread from `first` with no container;
+  // only a wake-all that finds a second waiter allocates `rest`.
   static void wakeup(event_t e, bool one) {
     event_bucket& b = bucket_for(e);
-    std::vector<kthread*> to_wake;
+    kthread* first = nullptr;
+    std::vector<kthread*> rest;
     simple_lock(&b.lock);
     for (auto it = b.waiters.begin(); it != b.waiters.end();) {
       kthread* t = *it;
@@ -203,24 +206,30 @@ struct event_system {
       if (t->wait_event_ == e) {
         it = b.waiters.erase(it);
         t->queued_ = false;
-        to_wake.push_back(t);
+        if (first == nullptr) {
+          first = t;
+        } else {
+          rest.push_back(t);
+        }
         if (one) break;
       } else {
         ++it;
       }
     }
     simple_unlock(&b.lock);
+    const std::size_t woken = first == nullptr ? 0 : 1 + rest.size();
     ktrace::emit(trace_kind::thread_wakeup_ev, nullptr, reinterpret_cast<std::uint64_t>(e),
-                 to_wake.size());
-    if (to_wake.empty()) {
+                 woken);
+    if (woken == 0) {
       g_wakeups_no_waiter.fetch_add(1, std::memory_order_relaxed);
       kmet().sched_wakeups_no_waiter.inc();
       return;
     }
-    g_wakeups_delivered.fetch_add(to_wake.size(), std::memory_order_relaxed);
-    kmet().sched_wakeups.inc(to_wake.size());
-    kmet().sched_wait_queue_depth.sub(static_cast<std::int64_t>(to_wake.size()));
-    for (kthread* t : to_wake) deliver(t, wait_result::awakened);
+    g_wakeups_delivered.fetch_add(woken, std::memory_order_relaxed);
+    kmet().sched_wakeups.inc(woken);
+    kmet().sched_wait_queue_depth.sub(static_cast<std::int64_t>(woken));
+    deliver(first, wait_result::awakened);
+    for (kthread* t : rest) deliver(t, wait_result::awakened);
   }
 
   static void clear(kthread& t, wait_result r) {

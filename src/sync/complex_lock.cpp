@@ -63,9 +63,13 @@ inline void hold_finish(lock_t l) {
 }
 
 // Wait for the lock state to change. Interlock held on entry and exit.
-// Sleep mode blocks through the event system (the lock's own address is
-// the event, as in Mach's kern/lock.c); spin mode releases the interlock,
-// backs off, and reacquires.
+// Sleep mode first polls: for its first lock_sleep_polls calls per
+// acquisition (counted by the caller's backoff) it releases the interlock,
+// backs off, and reacquires, so a hold of a few hundred ns costs no sleep
+// and wakeup. After that it blocks through the event system (the lock's
+// own address is the event, as in Mach's kern/lock.c). Spin mode always
+// backs off. A poll never sets `waiting`, so releases wake only sleepers.
+// The caller counts the contended acquisition once, at its first wait.
 void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
   // kprof: the whole wait — sleeping through the event system or spinning
   // in backoff — samples as waiting on THIS lock. The inner thread_block
@@ -73,17 +77,15 @@ void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
   // attribution survives nesting.
   const kprof::activity_word prev_activity = kprof::self_word();
   kprof::publish(kprof::activity::lock_waiting, l->name);
-  if (l->can_sleep || force_sleep) {
+  if (force_sleep || (l->can_sleep && bo.pauses() >= lock_sleep_polls)) {
     l->waiting = true;
     ++l->stats.sleeps;
-    l->stat_class->count_contended();
     assert_wait(l);
     simple_unlock(&l->interlock);
     thread_block();
     simple_lock(&l->interlock);
   } else {
-    ++l->stats.spins;
-    l->stat_class->count_contended();
+    ++(l->can_sleep ? l->stats.polls : l->stats.spins);
     simple_unlock(&l->interlock);
     bo.pause();
     simple_lock(&l->interlock);
@@ -161,6 +163,7 @@ void lock_read(lock_t l) {
   while (reader_must_wait(l)) {
     if (!waited) {
       waited = true;
+      l->stat_class->count_contended();
       wait_start = wait_stamp(wait_start);
       span_note_wait(l);
       wait_graph::instance().thread_waits(me, l, l->name);
@@ -199,6 +202,7 @@ void lock_write(lock_t l) {
   auto note_wait = [&] {
     if (!waited) {
       waited = true;
+      l->stat_class->count_contended();
       wait_start = wait_stamp(wait_start);
       span_note_wait(l);
       wait_graph::instance().thread_waits(me, l, l->name);
@@ -256,6 +260,7 @@ bool lock_read_to_write(lock_t l) {
   while (l->read_count > 0) {
     if (!waited) {
       waited = true;
+      l->stat_class->count_contended();
       wait_start = wait_stamp(wait_start);
       span_note_wait(l);
       wait_graph::instance().thread_waits(me, l, l->name);
@@ -397,6 +402,7 @@ bool lock_try_read_to_write(lock_t l) {
   while (l->read_count > 0) {
     if (!waited) {
       waited = true;
+      l->stat_class->count_contended();
       wait_start = wait_stamp(wait_start);
       span_note_wait(l);
       wait_graph::instance().thread_waits(me, l, l->name);

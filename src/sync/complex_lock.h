@@ -6,7 +6,9 @@
 //
 //   Sleep:     waiters block via the event system instead of spinning, and
 //              holders may block while holding the lock. Dynamically
-//              switchable per lock (lock_sleepable).
+//              switchable per lock (lock_sleepable). A waiter first polls
+//              the lock lock_sleep_polls times (about 1 us) before it
+//              sleeps, as Mach's kern/lock.c spins for lock_wait_time.
 //   Recursive: a single holder may recursively acquire the lock
 //              (lock_set_recursive / lock_clear_recursive). Must be held
 //              for write to set; a later downgrade to read prohibits
@@ -35,6 +37,13 @@
 
 namespace mach {
 
+// Pre-sleep poll budget of a Sleep-mode wait: the number of backoff pauses
+// (4 + 8 + 16 cpu_relax, each followed by an interlock round trip; about
+// 1 us) a waiter spends re-checking the lock before it sleeps through the
+// event system. It must stay well below the cost of a sleep and wakeup,
+// which the poll exists to avoid for short holds (DESIGN.md decision 8).
+inline constexpr std::uint64_t lock_sleep_polls = 3;
+
 // Cumulative per-lock statistics, mutated under the interlock (so reading
 // them while the lock is in active use gives a consistent-enough snapshot
 // for reporting, and updating them costs no extra synchronization).
@@ -46,7 +55,8 @@ struct complex_lock_stats {
   std::uint64_t upgrades_failed = 0;
   std::uint64_t downgrades = 0;
   std::uint64_t sleeps = 0;  // waits that went through the event system
-  std::uint64_t spins = 0;   // interlock-release/reacquire spin iterations
+  std::uint64_t spins = 0;   // spin-mode interlock-release/reacquire iterations
+  std::uint64_t polls = 0;   // Sleep-mode polls before sleeping (lock_sleep_polls)
 };
 
 // Storage for a single complex lock (the paper's C type lock_data_t).

@@ -359,6 +359,46 @@ TEST(ComplexLock, SleepableTogglesDynamically) {
   EXPECT_EQ(lock_stats(&l).spins, 0u);
 }
 
+// A Sleep-mode waiter polls lock_sleep_polls times before it sleeps, and
+// after its wakeup goes straight back to the event system. Polls are
+// counted apart from spin-mode spins.
+TEST(ComplexLock, SleepWaiterPollsThenSleeps) {
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/true, "polled");
+  lock_write(&l);
+  auto t = kthread::spawn("poller", [&] {
+    lock_read(&l);
+    lock_done(&l);
+  });
+  // Release only once the reader sleeps, so it has used its whole budget.
+  while (lock_stats(&l).sleeps == 0) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(10ms);
+  lock_done(&l);
+  t->join();
+  const complex_lock_stats s = lock_stats(&l);
+  EXPECT_EQ(s.polls, lock_sleep_polls);
+  EXPECT_GE(s.sleeps, 1u);
+  EXPECT_EQ(s.spins, 0u);
+}
+
+TEST(ComplexLock, SpinWaiterSpinsWithoutPolls) {
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/false, "spun");
+  lock_write(&l);
+  auto t = kthread::spawn("spinner", [&] {
+    lock_read(&l);
+    lock_done(&l);
+  });
+  while (lock_stats(&l).spins == 0) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(10ms);
+  lock_done(&l);
+  t->join();
+  const complex_lock_stats s = lock_stats(&l);
+  EXPECT_EQ(s.polls, 0u);
+  EXPECT_GT(s.spins, 0u);
+  EXPECT_EQ(s.sleeps, 0u);
+}
+
 TEST(ComplexLock, DoneOfUnheldLockIsFatal) {
   testing::panic_hook_scope hook;
   lock_data_t l;

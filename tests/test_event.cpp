@@ -3,10 +3,27 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 
 #include "sched/event.h"
 #include "sync/simple_lock.h"
 #include "tests/test_util.h"
+
+// Counts each thread's heap allocations, so a test can assert that a path
+// allocates nothing.
+namespace {
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+// Out of line, so GCC does not pair an inlined malloc with this free.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mach {
 namespace {
@@ -136,6 +153,23 @@ TEST(Event, WakeupOneWakesExactlyOne) {
   EXPECT_EQ(woken.load(), 1);
   thread_wakeup(&dummy_event_a);  // release the rest
   for (auto& t : threads) t->join();
+}
+
+// Wake-one hands its single waiter over directly: the waker allocates
+// nothing.
+TEST(Event, WakeupOneDoesNotAllocate) {
+  thread_wakeup_one(&dummy_event_b);  // no waiter: sets up the counters
+  std::atomic<bool> queued{false};
+  auto t = kthread::spawn("w-alloc", [&] {
+    assert_wait(&dummy_event_b);
+    queued.store(true);
+    thread_block();
+  });
+  while (!queued.load()) std::this_thread::yield();
+  const std::size_t before = t_allocations;
+  thread_wakeup_one(&dummy_event_b);
+  EXPECT_EQ(t_allocations - before, 0u);
+  t->join();
 }
 
 TEST(Event, ClearWaitWakesSpecificThread) {

@@ -114,6 +114,27 @@ TEST(Lockstat, ComplexLocksReportCombinedStats) {
   EXPECT_EQ(e.acquisitions - before, 2u);  // one read + one write
 }
 
+// Contention counts acquisitions that waited, not wait iterations: a
+// reader that polls, sleeps and wakes behind one write hold adds one of
+// each.
+TEST(Lockstat, ComplexWaitCountsOneContendedAcquisition) {
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/true, "complex-contended");
+  lock_write(&l);
+  const lock_stat_entry before = find_entry("complex-contended", /*is_complex=*/true);
+  auto reader = kthread::spawn("reader", [&] {
+    lock_read(&l);
+    lock_done(&l);
+  });
+  while (lock_stats(&l).sleeps == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  lock_done(&l);
+  reader->join();
+  const lock_stat_entry e = find_entry("complex-contended", /*is_complex=*/true);
+  EXPECT_EQ(e.contended - before.contended, 1u);
+  EXPECT_EQ(e.acquisitions - before.acquisitions, 1u);
+}
+
 TEST(Lockstat, SnapshotSortsMostContendedFirst) {
   auto snap = lock_registry::instance().snapshot();
   for (std::size_t i = 1; i < snap.size(); ++i) {

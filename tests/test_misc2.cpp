@@ -35,6 +35,7 @@ TEST(Mach25Compat, TryUpgradeSleepsDespiteSpinMode) {
   EXPECT_FALSE(done.load());
   // The waiter must be blocked through the event system, not spinning:
   EXPECT_GT(lock_stats(&l).sleeps, 0u) << "2.5 bug compat did not sleep";
+  EXPECT_EQ(lock_stats(&l).polls, 0u) << "2.5 bug compat polled before sleeping";
   lock_done(&l);
   upgrader->join();
 }

@@ -40,6 +40,8 @@ TEST(Task, CreateThreadLinksBothWays) {
   EXPECT_EQ(th->owner().get(), t.get());
   // Task holds one ref to the thread; we hold one.
   EXPECT_EQ(th->ref_count(), 2);
+  // Break the task<->thread reference cycle, as thread termination does.
+  EXPECT_TRUE(t->remove_thread(th.get()));
 }
 
 TEST(Task, ThreadHoldsTaskAlive) {
@@ -52,6 +54,7 @@ TEST(Task, ThreadHoldsTaskAlive) {
   auto owner = th->owner();
   ASSERT_TRUE(owner);
   EXPECT_EQ(owner->thread_count(), 1u);
+  EXPECT_TRUE(owner->remove_thread(th.get()));
 }
 
 TEST(Task, RemoveThreadReleasesTaskRef) {
@@ -78,7 +81,8 @@ TEST(Task, ThreadsSnapshotClonesRefs) {
   EXPECT_EQ(a->ref_count(), 3);  // ours + task's + snapshot's
   snap.clear();
   EXPECT_EQ(a->ref_count(), 2);
-  (void)b;
+  EXPECT_TRUE(t->remove_thread(a.get()));
+  EXPECT_TRUE(t->remove_thread(b.get()));
 }
 
 TEST(Task, ShutdownBodyDeactivatesThreads) {
@@ -100,6 +104,7 @@ TEST(Task, ThreadSuspendResume) {
   EXPECT_EQ(th->suspend_count(), 1);
   EXPECT_EQ(th->resume(), KERN_SUCCESS);
   EXPECT_EQ(th->resume(), KERN_FAILURE);
+  EXPECT_TRUE(t->remove_thread(th.get()));
 }
 
 TEST(Task, VmMapSlotHoldsReference) {

@@ -286,6 +286,10 @@ TEST_F(pageable_deadlock_fixture, LegacyRecursivePathDeadlocks) {
     EXPECT_EQ(vm_map_pageable_legacy(*map, hot_addr, 4 * vm_page_size, true), KERN_SUCCESS);
     wire_done.store(true);
   });
+  // Start the reclaimer only once the wirer has used the 2 free slots, so
+  // it holds the recursive read lock; a reclaimer that ran first would
+  // evict the cold pages and leave no shortage to deadlock on.
+  while (pages.raw().in_use() < 6) std::this_thread::sleep_for(1ms);
   // The reclaimer needs the map write lock to evict cold pages — and
   // cannot get it: the deadlock of section 7.1.
   std::atomic<bool> reclaim_done{false};
