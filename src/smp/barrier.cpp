@@ -28,6 +28,11 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
   if (on_interrupt_) on_interrupt_(cpu);
   if (round_active_.load() && (needed_.load() & bit) != 0 &&
       (entered_.load() & bit) == 0) {
+    // Entering discharges this CPU's barrier-entry obligation. Drop it
+    // from the wait graph before announcing the entry, or the detector
+    // sees a false two-party cycle (initiator waits on our entry, we wait
+    // on its release) until the initiator notices and untracks it.
+    wait_graph::instance().resource_released(&entry_slot_[cpu.id()], cpu.bound_token());
     entered_.fetch_or(bit);
     kmet().smp_barrier_isr_parks.inc();
     // generation_ is written before round_active_ at round start, so
@@ -134,6 +139,9 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
     bo.pause();
   }
   untrack(tracked & ~seen);
+  // An abort that lands before the round closes wins, even if the last
+  // participant entered meanwhile: the watchdog has given up on this round.
+  if (result == status::ok && aborted_.load()) result = status::aborted;
 
   if (result == status::ok) {
     update();
