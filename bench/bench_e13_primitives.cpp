@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "base/env.h"
 #include "harness/bench_json.h"
 #include "trace/trace_session.h"
 #include "ipc/stubs.h"
@@ -166,14 +167,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--benchmark_min_time", 0) == 0) explicit_min_time = true;
   }
-  if (const char* ms = std::getenv("MACHLOCK_BENCH_MS"); ms != nullptr && !explicit_min_time) {
-    const int v = std::atoi(ms);
-    if (v > 0) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "--benchmark_min_time=%.3f", v / 1000.0);
-      min_time_flag = buf;
-      args.push_back(min_time_flag.data());
-    }
+  if (const int v = mach::env_number("MACHLOCK_BENCH_MS", 0, 1); v > 0 && !explicit_min_time) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "--benchmark_min_time=%.3f", v / 1000.0);
+    min_time_flag = buf;
+    args.push_back(min_time_flag.data());
   }
   if (mach::bench_json::active()) {
     const std::string path = mach::bench_json::output_path();

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <string>
 
+#include "base/env.h"
 #include "harness/bench_model.h"
 
 namespace mach {
@@ -102,12 +103,7 @@ double mean_gated_cov(const bench_doc& doc) {
 }  // namespace
 
 int bench_reps_from_env(int def) {
-  int reps = def;
-  if (const char* env = std::getenv("MACHLOCK_BENCH_REPS")) {
-    const int v = std::atoi(env);
-    if (v > 0) reps = v;
-  }
-  return std::clamp(reps, 1, 99);
+  return std::clamp(env_number("MACHLOCK_BENCH_REPS", def, 1), 1, 99);
 }
 
 bool run_bench_all(const bench_all_options& opts, bench_all_report* report, std::string* err) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <thread>
 
+#include "base/env.h"
 #include "trace/trace_export.h"
 
 #ifndef MACHLOCK_BUILD_TYPE
@@ -130,10 +131,7 @@ bench_meta meta_from_environment() {
   }
   m.build_type = MACHLOCK_BUILD_TYPE;
   m.hw_concurrency = std::thread::hardware_concurrency();
-  if (const char* ms = std::getenv("MACHLOCK_BENCH_MS")) {
-    const int v = std::atoi(ms);
-    if (v > 0) m.bench_ms = v;
-  }
+  m.bench_ms = env_number("MACHLOCK_BENCH_MS", m.bench_ms, 1);
   return m;
 }
 

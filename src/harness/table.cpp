@@ -1,9 +1,9 @@
 #include "harness/table.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "base/env.h"
 #include "harness/bench_json.h"
 
 namespace mach {
@@ -78,12 +78,6 @@ void table::print() const {
   std::fflush(stdout);
 }
 
-int bench_duration_ms(int def_ms) {
-  if (const char* env = std::getenv("MACHLOCK_BENCH_MS")) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return def_ms;
-}
+int bench_duration_ms(int def_ms) { return env_number("MACHLOCK_BENCH_MS", def_ms, 1); }
 
 }  // namespace mach

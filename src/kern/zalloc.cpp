@@ -6,6 +6,7 @@
 #include "metrics/kmetrics.h"
 #include "sched/event.h"
 #include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 
 namespace mach {
 
@@ -47,25 +48,25 @@ void* zone::take_locked() {
 }
 
 void* zone::alloc() {
-  const void* me = current_thread_token();
   simple_lock(&lock_);
-  bool slept = false;
+  const void* me = nullptr;  // set at the first sleep
+  wait_note wait;
   for (;;) {
     if (void* p = take_locked()) {
-      if (slept) {
+      if (me != nullptr) {
         --sleepers_now_;
-        wait_graph::instance().thread_wait_done(me, this);
+        lock_probe::wait_end(probe_kind::zone, {this, name_}, me, wait);
       }
       simple_unlock(&lock_);
       kmet().kern_zalloc_allocs.inc();
       return p;
     }
-    if (!slept) {
-      slept = true;
+    if (me == nullptr) {
+      me = current_thread_token();
       ++sleeps_;
       ++sleepers_now_;
       kmet().kern_zalloc_sleeps.inc();
-      wait_graph::instance().thread_waits(me, this, name_);
+      wait = lock_probe::wait_begin(probe_kind::zone, {this, name_}, me);
     }
     // The canonical release-one-lock-and-wait pattern (paper sec. 6).
     thread_sleep(this, &lock_);

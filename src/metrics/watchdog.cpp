@@ -1,18 +1,18 @@
 #include "metrics/watchdog.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "base/compiler.h"
+#include "base/env.h"
 #include "base/panic.h"
 #include "base/stats.h"
 #include "prof/kprof.h"
 #include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 #include "trace/kspan.h"
@@ -32,108 +32,50 @@ const char* to_string(stall_kind k) noexcept {
 }
 
 namespace watchdog_detail {
-
-std::atomic<bool> g_armed{false};
-constinit thread_local int t_wait_depth = 0;
-
 namespace {
 
-// The stall table: one seqlock-published slot per waiting thread. Writers
-// (the waiting threads) touch only their own slot; the monitor reads all
-// slots racily and discards torn reads via the sequence check.
-struct alignas(cacheline_size) stall_slot {
-  std::atomic<std::uint64_t> seq{0};       // odd while the owner writes
-  std::atomic<const void*> thread{nullptr};  // owner token; null = slot free
-  std::atomic<const void*> resource{nullptr};
-  std::atomic<const char*> rname{nullptr};
-  std::atomic<std::uint64_t> since{0};
-  std::atomic<int> kind{0};
-  // The waiter's kspan context at wait begin (0 when none): a trip report
-  // can then name the stalled *request*, not just the stalled thread.
-  std::atomic<std::uint64_t> span{0};
-};
+thread_local int t_wait_depth = 0;
 
-constexpr int k_stall_slots = 256;
-stall_slot g_stalls[k_stall_slots];
-
-// Per-thread slot ownership, released at thread exit so slots recycle
-// across the short-lived kthreads the tests and benches spawn.
-struct slot_owner {
-  int idx = -1;
-  ~slot_owner() {
-    if (idx < 0) return;
-    stall_slot& s = g_stalls[idx];
-    const std::uint64_t q = s.seq.load(std::memory_order_relaxed);
-    s.seq.store(q + 1, std::memory_order_relaxed);
-    s.kind.store(static_cast<int>(stall_kind::none), std::memory_order_relaxed);
-    s.seq.store(q + 2, std::memory_order_release);
-    s.thread.store(nullptr, std::memory_order_release);
-  }
-};
-thread_local slot_owner t_slot;
-
-int claim_slot() {
-  const void* me = current_thread_token();
-  const std::size_t h = std::hash<const void*>{}(me);
-  for (int i = 0; i < k_stall_slots; ++i) {
-    const int idx = static_cast<int>((h + static_cast<std::size_t>(i)) % k_stall_slots);
-    const void* expect = nullptr;
-    if (g_stalls[idx].thread.compare_exchange_strong(expect, me, std::memory_order_acq_rel)) {
-      return idx;
-    }
-  }
-  return -1;  // table full: this stall goes unobserved, nothing breaks
+// Publish the calling thread's stall entry in its kprof slot. The monitor
+// reads all slots racily and discards torn reads via the sequence check.
+void publish_stall(stall_kind k, const void* resource, const char* name, std::uint64_t since,
+                   std::uint64_t span) noexcept {
+  kprof::detail::activity_slot& s = *kprof::detail::self_slot();
+  const std::uint64_t q = s.stall_seq.load(std::memory_order_relaxed);
+  s.stall_seq.store(q + 1, std::memory_order_relaxed);
+  s.stall_resource.store(resource, std::memory_order_relaxed);
+  s.stall_name.store(name, std::memory_order_relaxed);
+  s.stall_since.store(since, std::memory_order_relaxed);
+  s.stall_span.store(span, std::memory_order_relaxed);
+  s.stall_kind.store(static_cast<int>(k), std::memory_order_relaxed);
+  s.stall_seq.store(q + 2, std::memory_order_release);
 }
 
 }  // namespace
 
-void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept {
+void note_wait_begin(stall_kind k, const void* resource, const char* name) noexcept {
   if (++t_wait_depth > 1) return;  // the outermost wait names the stall
-  if (t_slot.idx < 0) t_slot.idx = claim_slot();
-  if (t_slot.idx < 0) return;
-  stall_slot& s = g_stalls[t_slot.idx];
-  const std::uint64_t q = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(q + 1, std::memory_order_relaxed);
-  s.resource.store(resource, std::memory_order_relaxed);
-  s.rname.store(name, std::memory_order_relaxed);
-  s.since.store(now_nanos(), std::memory_order_relaxed);
-  s.kind.store(static_cast<int>(k), std::memory_order_relaxed);
-  s.span.store(kspan::current(), std::memory_order_relaxed);
-  s.seq.store(q + 2, std::memory_order_release);
+  // The waiter's kspan context lets a trip report name the stalled
+  // request, not just the stalled thread.
+  publish_stall(k, resource, name, now_nanos(), kspan::current());
 }
 
-void note_wait_end_slow() noexcept {
+void note_wait_end() noexcept {
   if (--t_wait_depth > 0) return;
-  if (t_slot.idx < 0) return;
-  stall_slot& s = g_stalls[t_slot.idx];
-  const std::uint64_t q = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(q + 1, std::memory_order_relaxed);
-  s.kind.store(static_cast<int>(stall_kind::none), std::memory_order_relaxed);
-  s.span.store(0, std::memory_order_relaxed);
-  s.seq.store(q + 2, std::memory_order_release);
+  publish_stall(stall_kind::none, nullptr, nullptr, 0, 0);
 }
 
 }  // namespace watchdog_detail
 
-namespace {
-
-int env_int(const char* var, int def) {
-  const char* v = std::getenv(var);
-  if (v == nullptr || v[0] == '\0') return def;
-  const int n = std::atoi(v);
-  return n > 0 ? n : def;
-}
-
-}  // namespace
-
 watchdog_config watchdog_config_from_env() {
   watchdog_config cfg;
-  cfg.poll = std::chrono::milliseconds(env_int("MACHLOCK_WATCHDOG_POLL_MS", 10));
-  cfg.spin_deadline = std::chrono::milliseconds(env_int("MACHLOCK_WATCHDOG_SPIN_MS", 250));
-  cfg.block_deadline = std::chrono::milliseconds(env_int("MACHLOCK_WATCHDOG_BLOCK_MS", 2000));
-  cfg.writer_deadline = std::chrono::milliseconds(env_int("MACHLOCK_WATCHDOG_WRITER_MS", 1000));
-  const char* p = std::getenv("MACHLOCK_WATCHDOG_PANIC");
-  cfg.panic_on_trip = p != nullptr && p[0] == '1';
+  cfg.poll = std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_POLL_MS", 10, 1));
+  cfg.spin_deadline = std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_SPIN_MS", 250, 1));
+  cfg.block_deadline =
+      std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_BLOCK_MS", 2000, 1));
+  cfg.writer_deadline =
+      std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_WRITER_MS", 1000, 1));
+  cfg.panic_on_trip = env_flag("MACHLOCK_WATCHDOG_PANIC");
   return cfg;
 }
 
@@ -258,23 +200,22 @@ struct watchdog::impl {
   }
 
   void scan(std::map<int, std::uint64_t>& reported) {
-    using watchdog_detail::g_stalls;
     const std::uint64_t now = now_nanos();
-    for (int i = 0; i < watchdog_detail::k_stall_slots; ++i) {
-      auto& s = g_stalls[i];
-      const std::uint64_t q1 = s.seq.load(std::memory_order_acquire);
+    for (int i = 0; i < kprof::detail::k_slots; ++i) {
+      auto& s = kprof::detail::g_slots[i];
+      const std::uint64_t q1 = s.stall_seq.load(std::memory_order_acquire);
       if (q1 & 1) continue;  // owner mid-write
-      const auto k = static_cast<stall_kind>(s.kind.load(std::memory_order_relaxed));
+      const auto k = static_cast<stall_kind>(s.stall_kind.load(std::memory_order_relaxed));
       if (k == stall_kind::none) {
         reported.erase(i);
         continue;
       }
-      const void* resource = s.resource.load(std::memory_order_relaxed);
-      const char* rname = s.rname.load(std::memory_order_relaxed);
-      const std::uint64_t since = s.since.load(std::memory_order_relaxed);
-      const void* thread = s.thread.load(std::memory_order_relaxed);
-      const std::uint64_t span = s.span.load(std::memory_order_relaxed);
-      if (s.seq.load(std::memory_order_acquire) != q1) continue;  // torn read
+      const void* resource = s.stall_resource.load(std::memory_order_relaxed);
+      const char* rname = s.stall_name.load(std::memory_order_relaxed);
+      const std::uint64_t since = s.stall_since.load(std::memory_order_relaxed);
+      const void* thread = s.token.load(std::memory_order_relaxed);
+      const std::uint64_t span = s.stall_span.load(std::memory_order_relaxed);
+      if (s.stall_seq.load(std::memory_order_acquire) != q1) continue;  // torn read
       const std::uint64_t deadline = deadline_nanos(k);
       if (now - since < deadline) continue;
       auto it = reported.find(i);
@@ -309,7 +250,7 @@ void watchdog::start(const watchdog_config& cfg) {
   if (s.running) return;
   s.cfg = cfg;
   s.stop.store(false);
-  watchdog_detail::g_armed.store(true, std::memory_order_relaxed);
+  probe_set(probe_watchdog, true);
   s.thread = std::thread([&s] { s.loop(); });
   s.running = true;
 }
@@ -319,7 +260,7 @@ void watchdog::stop() {
   {
     std::lock_guard<std::mutex> g(s.m);
     if (!s.running) return;
-    watchdog_detail::g_armed.store(false, std::memory_order_relaxed);
+    probe_set(probe_watchdog, false);
     s.stop.store(true);
   }
   s.thread.join();

@@ -14,18 +14,18 @@
 //   * writer_wait    — a complex-lock writer (or upgrader) starved past its
 //                      deadline (readers never drain).
 //
-// Each waiting thread publishes its current wait in a per-thread slot of a
-// lock-free stall table via a seqlock protocol; the monitor polls the table
+// Each waiting thread publishes its current wait in its kprof slot
+// (prof/kprof.h) via a seqlock protocol; the monitor polls the slots
 // and, when a wait exceeds its class deadline, composes a trip report:
 // the stalled thread and resource, the resource's holder (for locks), the
 // wait-graph's held-lock dump and cycle report (when deadlock tracing is
 // on), the lockstat top table, and the recent ktrace tail (when tracing is
 // on) — then optionally panics.
 //
-// Cost model: hooks sit ONLY in wait slow paths (a contended acquisition,
-// an actual suspension); the uncontended fast paths are untouched. A
-// disarmed begin hook is one relaxed load; a disarmed end hook is one
-// thread-local read.
+// Cost model: the lock probe (sync/lock_probe.h) calls the watchdog ONLY
+// from wait slow paths (a contended acquisition, an actual suspension),
+// and only while its bit in probe_mask is set; the uncontended fast paths
+// never reach it.
 //
 // Enable programmatically (watchdog::instance().start(cfg)) or via the
 // environment through trace_session: MACHLOCK_WATCHDOG=1 with optional
@@ -33,7 +33,6 @@
 // MACHLOCK_WATCHDOG_PANIC=1. See docs/OBSERVABILITY.md.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -45,31 +44,14 @@ enum class stall_kind : int { none = 0, simple_spin, thread_blocked, writer_wait
 const char* to_string(stall_kind k) noexcept;
 
 namespace watchdog_detail {
-extern std::atomic<bool> g_armed;
-extern constinit thread_local int t_wait_depth;
-void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept;
-void note_wait_end_slow() noexcept;
-}  // namespace watchdog_detail
-
-inline bool watchdog_armed() noexcept {
-  return watchdog_detail::g_armed.load(std::memory_order_relaxed);
-}
-
 // Publish "the current thread is now waiting on `resource`". Nested waits
 // (a starved writer that sleeps through the event system) keep the
 // outermost entry — it names the real stall.
-inline void watchdog_note_wait_begin(stall_kind k, const void* resource,
-                                     const char* name) noexcept {
-  if (!watchdog_armed()) [[likely]] return;
-  watchdog_detail::note_wait_begin_slow(k, resource, name);
-}
-
-// Retire the matching begin. Not gated on the armed flag so an entry made
-// while armed is cleared even if the watchdog stops mid-wait.
-inline void watchdog_note_wait_end() noexcept {
-  if (watchdog_detail::t_wait_depth == 0) [[likely]] return;
-  watchdog_detail::note_wait_end_slow();
-}
+void note_wait_begin(stall_kind k, const void* resource, const char* name) noexcept;
+// Retire the matching begin; the probe calls it for every begin it made,
+// even if the watchdog stopped mid-wait.
+void note_wait_end() noexcept;
+}  // namespace watchdog_detail
 
 struct watchdog_config {
   std::chrono::milliseconds poll{10};

@@ -11,6 +11,7 @@
 #include "base/stats.h"
 #include "metrics/kmon.h"
 #include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 #include "trace/trace_export.h"
 
 namespace mach::kprof {
@@ -34,14 +35,15 @@ constinit thread_local activity_slot* t_slot = nullptr;
 namespace {
 
 // Releases the slot at thread exit so the table recycles across the
-// short-lived kthreads the tests and benches spawn (the watchdog
-// stall-table pattern). Word is cleared before the token so the sampler
-// never attributes a stale word to the slot's next owner.
+// short-lived kthreads the tests and benches spawn. Word and stall entry
+// are cleared before the token so neither the sampler nor the watchdog
+// attributes stale state to the slot's next owner.
 struct slot_owner {
   activity_slot* slot = nullptr;
   ~slot_owner() {
     if (slot == nullptr) return;
     slot->word.store(0, std::memory_order_relaxed);
+    slot->stall_kind.store(0, std::memory_order_relaxed);
     slot->token.store(nullptr, std::memory_order_release);
     t_slot = nullptr;
   }
@@ -204,6 +206,7 @@ void sampler::start(double hz, std::chrono::milliseconds flight_interval) {
   s.stop.store(false);
   s.thread = std::thread([&s, tick, flight_every] { s.loop(tick, flight_every); });
   s.running = true;
+  probe_set(probe_kprof, true);
 }
 
 void sampler::stop() {
@@ -211,6 +214,7 @@ void sampler::stop() {
   {
     std::lock_guard<std::mutex> g(s.m);
     if (!s.running) return;
+    probe_set(probe_kprof, false);
     s.stop.store(true);
   }
   s.thread.join();

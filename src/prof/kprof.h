@@ -6,14 +6,14 @@
 // wall-clock instant. kprof supplies that missing modality with the
 // classic two halves of a sampling profiler:
 //
-//   * every kthread continuously PUBLISHES a single 64-bit *activity
-//     word* — {state, subject, request flag} packed into one atomic slot —
-//     with plain relaxed stores at the wait/hold transitions that already
-//     exist (simple-lock slow path, complex-lock wait/acquire/release,
-//     thread_block suspension). Publishing is always on; the cost is one
-//     store to the thread's own cacheline-padded slot, paid only on slow
-//     paths plus complex-lock acquire/release (see docs/OBSERVABILITY.md
-//     for measured numbers);
+//   * every kthread PUBLISHES a single 64-bit *activity word* — {state,
+//     subject, request flag} packed into one atomic slot — with plain
+//     relaxed stores at the wait/hold transitions that already exist
+//     (simple-lock slow path, complex-lock wait/acquire/release,
+//     thread_block suspension). The lock probe (sync/lock_probe.h)
+//     publishes while the sampler runs or the watchdog is armed (its trip
+//     reports quote the word); otherwise those transitions store nothing
+//     (see docs/OBSERVABILITY.md for measured numbers);
 //   * an optional SAMPLER thread walks the slot table at a configured
 //     rate, accumulating weighted samples into per-(state, site) profiles,
 //     and keeps a *flight recorder* ring of periodic kmon counter/gauge
@@ -88,11 +88,20 @@ namespace detail {
 // One thread's published slot. The owner writes `word` with plain relaxed
 // stores; the sampler reads all slots racily — a torn observation is
 // impossible (single 64-bit atomic) and a stale one is just the previous
-// instant's truth.
+// instant's truth. The stall_* fields are the thread's watchdog entry
+// (metrics/watchdog.cpp), which the owner publishes under a seqlock:
+// stall_seq is odd while it writes.
 struct alignas(cacheline_size) activity_slot {
   std::atomic<const void*> token{nullptr};  // owner thread token; null = free
   std::atomic<activity_word> word{0};
+  std::atomic<std::uint64_t> stall_seq{0};
+  std::atomic<const void*> stall_resource{nullptr};
+  std::atomic<const char*> stall_name{nullptr};
+  std::atomic<std::uint64_t> stall_since{0};
+  std::atomic<std::uint64_t> stall_span{0};  // the waiter's kspan context
+  std::atomic<int> stall_kind{0};            // a stall_kind; 0 = not waiting
 };
+static_assert(sizeof(activity_slot) == cacheline_size);
 
 inline constexpr int k_slots = 256;
 extern activity_slot g_slots[k_slots];
@@ -103,15 +112,18 @@ extern constinit thread_local activity_slot* t_slot;
 // slot: publishing stays cheap, the thread just goes unsampled.
 activity_slot* claim_slot() noexcept;
 
+inline activity_slot* self_slot() noexcept {
+  return t_slot != nullptr ? t_slot : claim_slot();
+}
+
 }  // namespace detail
 
 // Publish the calling thread's activity: one relaxed store (plus a
-// once-per-thread slot claim). Always on — the sampler decides whether
-// anyone is reading.
+// once-per-thread slot claim). The lock probe calls it only while someone
+// reads the words (see the header comment).
 inline void publish(activity a, const void* subject) noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
-  s->word.store(pack(a, subject, kspan::current() != 0), std::memory_order_relaxed);
+  detail::self_slot()->word.store(pack(a, subject, kspan::current() != 0),
+                                  std::memory_order_relaxed);
 }
 
 // The calling thread's current packed word (0 when nothing published) /
@@ -123,9 +135,7 @@ inline activity_word self_word() noexcept {
   return s == nullptr ? 0 : s->word.load(std::memory_order_relaxed);
 }
 inline void publish_word(activity_word w) noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
-  s->word.store(w, std::memory_order_relaxed);
+  detail::self_slot()->word.store(w, std::memory_order_relaxed);
 }
 
 // Decoded activity of a thread by token (for the watchdog trip reports).

@@ -9,8 +9,7 @@
 
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
-#include "metrics/watchdog.h"
-#include "prof/kprof.h"
+#include "sync/lock_probe.h"
 #include "trace/kspan.h"
 #include "trace/ktrace.h"
 
@@ -36,29 +35,6 @@ std::atomic<std::uint64_t> g_blocks_suspended{0};
 std::atomic<std::uint64_t> g_blocks_short_circuited{0};
 std::atomic<std::uint64_t> g_wakeups_delivered{0};
 std::atomic<std::uint64_t> g_wakeups_no_waiter{0};
-
-// Publishes "this thread is suspended" to the stall watchdog; the dtor
-// covers every return path out of block(), including timeout bookkeeping.
-struct watchdog_blocked_scope {
-  explicit watchdog_blocked_scope(const void* ev) {
-    watchdog_note_wait_begin(stall_kind::thread_blocked, ev, "event-wait");
-  }
-  ~watchdog_blocked_scope() { watchdog_note_wait_end(); }
-};
-
-// kprof: samples of a suspended thread attribute to the event it sleeps
-// on — UNLESS an outer instrumentation point already attributed the wait
-// (a complex-lock sleep publishes lock_waiting before blocking; naming
-// the lock beats naming the lock's event address).
-struct kprof_blocked_scope {
-  kprof::activity_word prev;
-  explicit kprof_blocked_scope(const void* ev) : prev(kprof::self_word()) {
-    if (kprof::unpack_state(prev) != kprof::activity::lock_waiting) {
-      kprof::publish(kprof::activity::blocked, ev);
-    }
-  }
-  ~kprof_blocked_scope() { kprof::publish_word(prev); }
-};
 
 }  // namespace
 
@@ -146,31 +122,35 @@ struct event_system {
     }
     g_blocks_suspended.fetch_add(1, std::memory_order_relaxed);
     kmet().sched_blocks.inc();
-    const watchdog_blocked_scope wd_scope(t.wait_event_.load());
-    const kprof_blocked_scope prof_scope(t.wait_event_.load());
-    if (timeout == nullptr) {
-      t.wait_cv_.wait(g, [&t] { return t.wakeup_pending_; });
-      return traced(consume_locked(t));
+    const event_t e = t.wait_event_;
+    const wait_note note = lock_probe::block(e);
+    const wait_result r = suspend(t, e, g, timeout);
+    lock_probe::unblock(note);
+    return traced(r);
+  }
+
+  // Sleep on `e` until a wakeup is delivered or `timeout` (when given)
+  // expires. Wait mutex held on entry.
+  static wait_result suspend(kthread& t, event_t e, std::unique_lock<std::mutex>& g,
+                             const std::chrono::milliseconds* timeout) {
+    auto woken = [&t] { return t.wakeup_pending_; };
+    if (timeout != nullptr && !t.wait_cv_.wait_for(g, *timeout, woken)) {
+      // Timed out: remove ourselves from the queue, racing against wakers.
+      g.unlock();
+      if (try_dequeue(t, e)) {
+        std::lock_guard<std::mutex> g2(t.wait_mutex_);
+        // A waker cannot reach us anymore; cancel the assertion.
+        t.wait_asserted_ = false;
+        t.wait_event_ = nullptr;
+        t.wakeup_pending_ = false;
+        return wait_result::timed_out;
+      }
+      // A waker dequeued us concurrently; its wakeup is (about to be)
+      // delivered. Honor it.
+      g.lock();
     }
-    if (t.wait_cv_.wait_for(g, *timeout, [&t] { return t.wakeup_pending_; })) {
-      return traced(consume_locked(t));
-    }
-    // Timed out: remove ourselves from the queue, racing against wakers.
-    event_t e = t.wait_event_;
-    g.unlock();
-    if (try_dequeue(t, e)) {
-      std::lock_guard<std::mutex> g2(t.wait_mutex_);
-      // A waker cannot reach us anymore; cancel the assertion.
-      t.wait_asserted_ = false;
-      t.wait_event_ = nullptr;
-      t.wakeup_pending_ = false;
-      return traced(wait_result::timed_out);
-    }
-    // A waker dequeued us concurrently; its wakeup is (about to be)
-    // delivered. Honor it.
-    g.lock();
-    t.wait_cv_.wait(g, [&t] { return t.wakeup_pending_; });
-    return traced(consume_locked(t));
+    t.wait_cv_.wait(g, woken);
+    return consume_locked(t);
   }
 
   static wait_result consume_locked(kthread& t) {

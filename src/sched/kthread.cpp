@@ -4,9 +4,8 @@
 
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
-#include "prof/kprof.h"
 #include "sync/deadlock.h"
-#include "trace/ktrace.h"
+#include "sync/lock_probe.h"
 
 namespace mach {
 namespace {
@@ -30,7 +29,7 @@ kthread& kthread::current() {
   adopted.reset(new kthread("adopted"));
   adopted->token_ = current_thread_token();
   tl_current = adopted.get();
-  kprof::publish(kprof::activity::running, nullptr);  // claim a sampler slot
+  lock_probe::thread_started();
   return *tl_current;
 }
 
@@ -42,9 +41,7 @@ std::unique_ptr<kthread> kthread::spawn(std::string name, std::function<void()> 
   raw->host_ = std::thread([raw, fn = std::move(fn), &started]() mutable {
     raw->token_ = current_thread_token();
     tl_current = raw;
-    wait_graph::instance().name_thread(raw->token_, raw->name_);
-    ktrace::set_thread_name(raw->name_);  // label this thread's trace ring
-    kprof::publish(kprof::activity::running, nullptr);  // claim a sampler slot
+    lock_probe::thread_started(raw->name_);
     kmet().sched_threads_live.add(1);
     started.set_value();
     fn();

@@ -7,6 +7,7 @@
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
 #include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 #include "trace/ktrace.h"
 
 namespace mach {
@@ -32,7 +33,7 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
     // from the wait graph before announcing the entry, or the detector
     // sees a false two-party cycle (initiator waits on our entry, we wait
     // on its release) until the initiator notices and untracks it.
-    wait_graph::instance().resource_released(&entry_slot_[cpu.id()], cpu.bound_token());
+    lock_probe::released(probe_kind::barrier, entry_site(cpu.id()), cpu.bound_token());
     entered_.fetch_or(bit);
     kmet().smp_barrier_isr_parks.inc();
     // generation_ is written before round_active_ at round start, so
@@ -43,13 +44,12 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
     // property: nobody leaves before everybody (that must) has entered.
     const void* me = current_thread_token();
     const std::uint64_t isr_start = ktrace::enabled() ? now_nanos() : 0;
-    wait_graph::instance().thread_waits(me, &release_slot_,
-                                        "barrier-release");
+    const wait_note wait = lock_probe::wait_begin(probe_kind::barrier, release_site(), me);
     backoff bo;
     while (generation_.load() == my_round && !released_.load() && !aborted_.load()) {
       bo.pause();
     }
-    wait_graph::instance().thread_wait_done(me, &release_slot_);
+    lock_probe::wait_end(probe_kind::barrier, release_site(), me, wait);
     if (isr_start != 0) {
       // The time this CPU was parked at interrupt level — the per-CPU
       // cost of the paper's "costly operation".
@@ -69,7 +69,6 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
   MACH_ASSERT(vector_ >= 0, "interrupt_barrier::run before attach");
   machine& m = machine::instance();
   const void* me = current_thread_token();
-  wait_graph& graph = wait_graph::instance();
 
   // The initiator cannot take its own IPI while spinning at the vector's
   // level; it participates implicitly.
@@ -88,24 +87,24 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
 
   // Deadlock-detector bookkeeping: each missing participant's entry is a
   // resource held by whatever thread is bound to that CPU.
-  graph.resource_held(&release_slot_, me, "barrier-release");
+  lock_probe::acquired(probe_kind::barrier, release_site(), me);
   std::uint32_t tracked = 0;
+  wait_note entry_waits[max_cpus];
   for (int i = 0; i < m.ncpus(); ++i) {
     const std::uint32_t bit = 1u << i;
     if ((others & bit) == 0) continue;
     const void* owner = m.cpu(i).bound_token();
     if (owner == nullptr) continue;  // unbound CPU: nothing to attribute
-    graph.resource_held(&entry_slot_[i], owner,
-                        "barrier-entry");
-    graph.thread_waits(me, &entry_slot_[i], "barrier-entry");
+    lock_probe::acquired(probe_kind::barrier, entry_site(i), owner);
+    entry_waits[i] = lock_probe::wait_begin(probe_kind::barrier, entry_site(i), me);
     tracked |= bit;
   }
   auto untrack = [&](std::uint32_t bits) {
     for (int i = 0; i < m.ncpus(); ++i) {
       const std::uint32_t bit = 1u << i;
       if ((bits & bit) == 0) continue;
-      graph.thread_wait_done(me, &entry_slot_[i]);
-      graph.resource_released(&entry_slot_[i], m.cpu(i).bound_token());
+      lock_probe::wait_end(probe_kind::barrier, entry_site(i), me, entry_waits[i]);
+      lock_probe::released(probe_kind::barrier, entry_site(i), m.cpu(i).bound_token());
     }
   };
 
@@ -152,7 +151,7 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
     rounds_failed_.fetch_add(1, std::memory_order_relaxed);
     kmet().smp_barrier_rounds_failed.inc();
   }
-  graph.resource_released(&release_slot_, me);
+  lock_probe::released(probe_kind::barrier, release_site(), me);
   round_active_.store(false);
   if (round_start != 0) {
     const std::uint64_t end = now_nanos();

@@ -32,6 +32,7 @@
 #include <functional>
 
 #include "smp/processor.h"
+#include "sync/lock_probe.h"
 #include "sync/simple_lock.h"
 
 namespace mach {
@@ -94,8 +95,11 @@ class interrupt_barrier {
 
   // Wait-graph resource addresses: one entry obligation per CPU plus the
   // release the participants spin on.
-  char entry_slot_[32] = {};
+  static constexpr int max_cpus = 32;
+  char entry_slot_[max_cpus] = {};
   char release_slot_ = 0;
+  probe_site entry_site(int cpu) { return {&entry_slot_[cpu], "barrier-entry"}; }
+  probe_site release_site() { return {&release_slot_, "barrier-release"}; }
 };
 
 }  // namespace mach

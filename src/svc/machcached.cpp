@@ -1,10 +1,11 @@
 #include "svc/machcached.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <cstring>
 #include <string>
 
+#include "base/env.h"
 #include "base/panic.h"
 #include "base/rng.h"
 #include "ipc/port.h"
@@ -42,10 +43,7 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 int mc_shards_from_env(int def) {
-  const char* v = std::getenv("MACHLOCK_CACHE_SHARDS");
-  if (v == nullptr || v[0] == '\0') return def;
-  long n = std::strtol(v, nullptr, 10);
-  return static_cast<int>(std::clamp(n, 1L, 1024L));
+  return std::clamp(env_number("MACHLOCK_CACHE_SHARDS", def, INT_MIN), 1, 1024);
 }
 
 mc_cache::mc_cache(const mc_cache_config& cfg)

@@ -2,12 +2,9 @@
 
 #include "base/backoff.h"
 #include "base/panic.h"
-#include "metrics/watchdog.h"
-#include "prof/kprof.h"
 #include "sched/event.h"
 #include "sync/deadlock.h"
-#include "trace/kspan.h"
-#include "trace/ktrace.h"
+#include "sync/lock_probe.h"
 
 namespace mach {
 namespace {
@@ -21,77 +18,55 @@ inline void count_acquisition(lock_t l, std::uint64_t& counter) {
   l->stat_class->count_acquisition();
 }
 
-// --- hold/wait-time profiling (ktrace-gated; interlock held) ---
+// What the lock probe is told about `l`.
+probe_site site(lock_t l) { return {l, l->name, l->stat_class, &l->write_acquire_nanos}; }
 
-// Stamp the start of a wait the first time a wait loop iterates.
-inline std::uint64_t wait_stamp(std::uint64_t current) {
-  if (current != 0) return current;
-  return ktrace::enabled() ? now_nanos() : 0;
-}
+// One acquisition's wait for the lock state to change. Interlock held
+// throughout. The first wait() counts the contended acquisition once and
+// tells the probe; done() closes the wait before the acquisition is
+// recorded.
+//
+// Sleep mode first polls: for its first lock_sleep_polls waits per
+// acquisition (counted by the backoff) it releases the interlock, backs
+// off, and reacquires, so a hold of a few hundred ns costs no sleep and
+// wakeup. After that it blocks through the event system (the lock's own
+// address is the event, as in Mach's kern/lock.c). Spin mode always backs
+// off. A poll never sets `waiting`, so releases wake only sleepers.
+class lock_waiter {
+ public:
+  lock_waiter(lock_t l, probe_kind k, const void* me) : l_(l), kind_(k), me_(me) {}
 
-// Annotate the active request span (if any) with the complex lock the
-// caller is about to wait on and the write holder blocking it (null when
-// the lock is held by readers). Interlock held; emit does not block.
-inline void span_note_wait(lock_t l) {
-  kspan::note_blocked(l->name, l, l->write_holder);
-}
-
-// Close a wait span opened by wait_stamp: feed the name's wait profile and
-// emit the trace record. `kind` distinguishes read/write/upgrade waits.
-inline void wait_finish(lock_t l, std::uint64_t start, trace_kind kind) {
-  if (start == 0 || !ktrace::enabled()) return;
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t wait = end - start;
-  l->stat_class->record_wait(wait);
-  ktrace::emit_span(kind, l->name, reinterpret_cast<std::uint64_t>(l), wait, end);
-}
-
-// Begin / end write-side hold timing (upgrade holds included). Recursive
-// nested acquisitions keep the outermost stamp.
-inline void hold_begin(lock_t l) {
-  l->write_acquire_nanos = ktrace::enabled() ? now_nanos() : 0;
-}
-
-inline void hold_finish(lock_t l) {
-  if (l->write_acquire_nanos == 0) return;
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t hold = end - l->write_acquire_nanos;
-  l->write_acquire_nanos = 0;
-  l->stat_class->record_hold(hold);
-  ktrace::emit_span(trace_kind::complex_write_held, l->name,
-                    reinterpret_cast<std::uint64_t>(l), hold, end);
-}
-
-// Wait for the lock state to change. Interlock held on entry and exit.
-// Sleep mode first polls: for its first lock_sleep_polls calls per
-// acquisition (counted by the caller's backoff) it releases the interlock,
-// backs off, and reacquires, so a hold of a few hundred ns costs no sleep
-// and wakeup. After that it blocks through the event system (the lock's
-// own address is the event, as in Mach's kern/lock.c). Spin mode always
-// backs off. A poll never sets `waiting`, so releases wake only sleepers.
-// The caller counts the contended acquisition once, at its first wait.
-void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
-  // kprof: the whole wait — sleeping through the event system or spinning
-  // in backoff — samples as waiting on THIS lock. The inner thread_block
-  // and interlock spins save/restore around their own publishes, so the
-  // attribution survives nesting.
-  const kprof::activity_word prev_activity = kprof::self_word();
-  kprof::publish(kprof::activity::lock_waiting, l->name);
-  if (force_sleep || (l->can_sleep && bo.pauses() >= lock_sleep_polls)) {
-    l->waiting = true;
-    ++l->stats.sleeps;
-    assert_wait(l);
-    simple_unlock(&l->interlock);
-    thread_block();
-    simple_lock(&l->interlock);
-  } else {
-    ++(l->can_sleep ? l->stats.polls : l->stats.spins);
-    simple_unlock(&l->interlock);
-    bo.pause();
-    simple_lock(&l->interlock);
+  void wait(bool force_sleep = false) {
+    if (!waited_) {
+      waited_ = true;
+      l_->stat_class->count_contended();
+      note_ = lock_probe::wait_begin(kind_, site(l_), me_, l_->write_holder);
+    }
+    if (force_sleep || (l_->can_sleep && bo_.pauses() >= lock_sleep_polls)) {
+      l_->waiting = true;
+      ++l_->stats.sleeps;
+      assert_wait(l_);
+      simple_unlock(&l_->interlock);
+      thread_block();
+      simple_lock(&l_->interlock);
+    } else {
+      ++(l_->can_sleep ? l_->stats.polls : l_->stats.spins);
+      simple_unlock(&l_->interlock);
+      bo_.pause();
+      simple_lock(&l_->interlock);
+    }
   }
-  kprof::publish_word(prev_activity);
-}
+
+  void done() { lock_probe::wait_end(kind_, site(l_), me_, note_); }
+
+ private:
+  lock_t l_;
+  probe_kind kind_;
+  const void* me_;
+  backoff bo_;
+  bool waited_ = false;
+  wait_note note_;
+};
 
 // Interlock held. Wake anyone blocked on the lock after a state change
 // that could unblock them. Wake-all: waiters re-check their predicate and
@@ -103,7 +78,6 @@ void lock_wakeup(lock_t l) {
     thread_wakeup(l);
   }
 }
-
 
 // Release the interlock, then report the invariant violation. panic()
 // normally aborts, but tests install a throwing hook; releasing first keeps
@@ -157,27 +131,12 @@ void lock_read(lock_t l) {
     simple_unlock(&l->interlock);
     return;
   }
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (reader_must_wait(l)) {
-    if (!waited) {
-      waited = true;
-      l->stat_class->count_contended();
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-    }
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_read_wait);
-  }
+  lock_waiter w(l, probe_kind::complex_read, me);
+  while (reader_must_wait(l)) w.wait();
+  w.done();
   ++l->read_count;
   count_acquisition(l, l->stats.read_acquisitions);
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_probe::acquired(probe_kind::complex_read, site(l), me);
   simple_unlock(&l->interlock);
 }
 
@@ -196,41 +155,17 @@ void lock_write(lock_t l) {
     simple_unlock(&l->interlock);
     panic(std::string("recursive write acquisition after downgrade on ") + l->name);
   }
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  auto note_wait = [&] {
-    if (!waited) {
-      waited = true;
-      l->stat_class->count_contended();
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-  };
+  lock_waiter w(l, probe_kind::complex_write, me);
   // Wait our turn behind other writers/upgraders...
-  while (l->want_write || l->want_upgrade) {
-    note_wait();
-    lock_wait(l, bo);
-  }
+  while (l->want_write || l->want_upgrade) w.wait();
   l->want_write = true;  // commits us: no new readers may be added
   // ...then drain existing readers, yielding to upgrades (upgrades are
   // favored over writes to avoid deadlocking a reader that must upgrade).
-  while (l->read_count > 0 || l->want_upgrade) {
-    note_wait();
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_write_wait);
-  }
+  while (l->read_count > 0 || l->want_upgrade) w.wait();
+  w.done();
   l->write_holder = me;
   count_acquisition(l, l->stats.write_acquisitions);
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_probe::acquired(probe_kind::complex_write, site(l), me);
   simple_unlock(&l->interlock);
 }
 
@@ -247,36 +182,18 @@ bool lock_read_to_write(lock_t l) {
     // (required to let the other upgrade drain; the caller needs recovery
     // logic — the cost sec. 7.1 complains about, measured in E4).
     ++l->stats.upgrades_failed;
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    lock_probe::released(probe_kind::complex_read, site(l), me);
     lock_wakeup(l);  // our released read hold may unblock the winner
     simple_unlock(&l->interlock);
     return true;  // TRUE = upgrade failed
   }
   l->want_upgrade = true;
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (l->read_count > 0) {
-    if (!waited) {
-      waited = true;
-      l->stat_class->count_contended();
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
-  }
+  lock_waiter w(l, probe_kind::complex_upgrade, me);
+  while (l->read_count > 0) w.wait();
+  w.done();
   l->write_holder = me;
   ++l->stats.upgrades_succeeded;
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
+  lock_probe::acquired(probe_kind::complex_write, site(l), me);
   simple_unlock(&l->interlock);
   return false;
 }
@@ -288,7 +205,9 @@ void lock_write_to_read(lock_t l) {
   if (l->recursion_depth != 0) {
     fail_locked(l, std::string("downgrade with nested write acquisitions on ") + l->name);
   }
-  hold_finish(l);  // the write-side hold ends at the downgrade
+  // The write-side hold ends at the downgrade and a read hold begins.
+  lock_probe::released(probe_kind::complex_write, site(l), me);
+  lock_probe::acquired(probe_kind::complex_read, site(l), me);
   ++l->read_count;
   if (l->want_upgrade) {
     l->want_upgrade = false;
@@ -307,8 +226,7 @@ void lock_done(lock_t l) {
   if (l->read_count > 0) {
     --l->read_count;
     if (l->read_count == 0 || l->recursion_thread != me) {
-      kprof::publish(kprof::activity::running, nullptr);
-      wait_graph::instance().resource_released(l, me);
+      lock_probe::released(probe_kind::complex_read, site(l), me);
     }
   } else if (l->recursion_depth > 0) {
     if (l->recursion_thread != me) {
@@ -321,18 +239,14 @@ void lock_done(lock_t l) {
     }
     l->want_upgrade = false;
     l->write_holder = nullptr;
-    hold_finish(l);
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    lock_probe::released(probe_kind::complex_write, site(l), me);
   } else {
     if (!(l->want_write && l->write_holder == me)) {
       fail_locked(l, std::string("lock_done of unheld lock ") + l->name);
     }
     l->want_write = false;
     l->write_holder = nullptr;
-    hold_finish(l);
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    lock_probe::released(probe_kind::complex_write, site(l), me);
   }
   lock_wakeup(l);
   simple_unlock(&l->interlock);
@@ -354,8 +268,7 @@ bool lock_try_read(lock_t l) {
   }
   ++l->read_count;
   count_acquisition(l, l->stats.read_acquisitions);
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_probe::acquired(probe_kind::complex_read, site(l), me);
   simple_unlock(&l->interlock);
   return true;
 }
@@ -377,9 +290,7 @@ bool lock_try_write(lock_t l) {
   l->want_write = true;
   l->write_holder = me;
   count_acquisition(l, l->stats.write_acquisitions);
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_probe::acquired(probe_kind::complex_write, site(l), me);
   simple_unlock(&l->interlock);
   return true;
 }
@@ -396,31 +307,14 @@ bool lock_try_read_to_write(lock_t l) {
   }
   l->want_upgrade = true;
   --l->read_count;
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (l->read_count > 0) {
-    if (!waited) {
-      waited = true;
-      l->stat_class->count_contended();
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-    // Appendix B.3: Mach 2.5's implementation blocked here even with the
-    // Sleep option disabled; reproduce that when the compat knob is set.
-    lock_wait(l, bo, /*force_sleep=*/l->mach25_try_upgrade_bug);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
-  }
+  lock_waiter w(l, probe_kind::complex_upgrade, me);
+  // Appendix B.3: Mach 2.5's implementation blocked here even with the
+  // Sleep option disabled; reproduce that when the compat knob is set.
+  while (l->read_count > 0) w.wait(/*force_sleep=*/l->mach25_try_upgrade_bug);
+  w.done();
   l->write_holder = me;
   ++l->stats.upgrades_succeeded;
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
+  lock_probe::acquired(probe_kind::complex_write, site(l), me);
   simple_unlock(&l->interlock);
   return true;
 }

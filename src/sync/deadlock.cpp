@@ -9,16 +9,6 @@
 
 namespace mach {
 
-const void* current_thread_token() noexcept {
-  thread_local char token;
-  return &token;
-}
-
-int& held_tracked_simple_locks() noexcept {
-  thread_local int count = 0;
-  return count;
-}
-
 struct wait_graph::impl {
   mutable std::mutex m;
   std::map<const void*, std::string> thread_names;

@@ -8,34 +8,42 @@
 // tracing is enabled) and finds cycles on demand, so the experiments can
 // *detect and report* the deadlocks the paper describes instead of hanging.
 //
-// Tracing is off by default and costs one relaxed atomic load per lock
-// operation when off. Resources are keyed by address; names are for
-// reporting only.
+// Tracing is off by default. The lock probe (sync/lock_probe.h) feeds the
+// edges and skips the graph while its bit in probe_mask is clear.
+// Resources are keyed by address; names are for reporting only.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "sync/lock_probe.h"
 
 namespace mach {
 
 // Stable per-thread identity usable below the scheduler layer (the
 // scheduler itself uses simple locks, so lock debugging cannot depend on
 // kthread). The token is the address of a thread_local object.
-const void* current_thread_token() noexcept;
+inline const void* current_thread_token() noexcept {
+  static constinit thread_local char token = 0;
+  return &token;
+}
 
 // Count of *tracked* simple locks held by the current thread; the event
 // system asserts this is zero in thread_block (the paper's "may not be held
 // during blocking operations" rule).
-int& held_tracked_simple_locks() noexcept;
+inline int& held_tracked_simple_locks() noexcept {
+  static constinit thread_local int count = 0;
+  return count;
+}
 
 class wait_graph {
  public:
   static wait_graph& instance() noexcept;
 
-  void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
+  // The graph's bit in probe_mask.
+  void set_enabled(bool on) noexcept { probe_set(probe_wait_graph, on); }
+  bool enabled() const noexcept { return probe_on(probe_wait_graph); }
 
   // Give the current thread a report-friendly name.
   void name_thread(const void* thread, std::string name);
@@ -74,7 +82,6 @@ class wait_graph {
 
  private:
   wait_graph() = default;
-  std::atomic<bool> enabled_{false};
   impl& self() const;
 };
 

@@ -64,7 +64,7 @@ struct lock_stat_entry {
   const char* name;
   bool is_complex;
   std::uint64_t acquisitions;  // simple: lock+try-success; complex: read+write
-  std::uint64_t contended;     // simple: not-first-try; complex: sleeps+spins
+  std::uint64_t contended;     // acquisitions that waited, each counted once
   // Hold/wait-time profile, populated only while ktrace is enabled.
   // Quantiles are log2-bucket upper bounds in nanoseconds; counts of 0
   // mean "never timed", not "instantaneous".

@@ -23,20 +23,18 @@
 //
 // Internal locks of the event system itself set `tracked = false` so that
 // the blocking assertion describes *client* locks only.
+//
+// Waits and holds are reported through the lock probe (sync/lock_probe.h).
 #pragma once
 
 #include <atomic>
 
 #include "base/panic.h"
-#include "base/stats.h"
-#include "metrics/watchdog.h"
-#include "prof/kprof.h"
 #include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 #include "sync/lockstat.h"
 #include "sync/spin_policies.h"
 #include "sync/spin_stats.h"
-#include "trace/kspan.h"
-#include "trace/ktrace.h"
 
 namespace mach {
 
@@ -50,7 +48,7 @@ struct simple_lock_data_t {
   // Counters and hold/wait profile shared by every lock with this name
   // (sync/lockstat.h), bumped only while the lock is held.
   lock_stat_class* stat_class;
-  // Start of the current hold when it is timed (ktrace enabled at
+  // Start of the current hold when the probe times it (ktrace enabled at
   // acquisition; clock reads are too expensive for the always-on path),
   // 0 when untimed.
   std::uint64_t acquire_nanos = 0;
@@ -84,33 +82,17 @@ inline void simple_lock_init(simple_lock_data_t* l, const char* name = "simple-l
 
 namespace detail {
 
-// Cold halves of the tracing instrumentation, kept out of line so the
-// always-inlined lock/unlock fast paths stay compact when tracing is off.
-[[gnu::noinline, gnu::cold]] inline void begin_timed_hold(simple_lock_data_t* l) {
-  l->acquire_nanos = now_nanos();
-}
-
-[[gnu::noinline, gnu::cold]] inline void finish_timed_hold(simple_lock_data_t* l) {
-  // This hold was timed (tracing was on at acquisition); finish the hold
-  // span while we still own the lock.
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t hold = end - l->acquire_nanos;
-  l->stat_class->record_hold(hold);
-  l->acquire_nanos = 0;
-  ktrace::emit_span(trace_kind::simple_lock_held, l->name, reinterpret_cast<std::uint64_t>(l),
-                    hold, end);
+inline probe_site probe_site_of(simple_lock_data_t* l) {
+  return {l, l->name, l->stat_class, &l->acquire_nanos};
 }
 
 inline void note_acquired(simple_lock_data_t* l, const void* me) {
   l->holder.store(me, std::memory_order_relaxed);
   l->stat_class->count_acquisition();
-  // Hold-time profiling only while tracing: the enabled() check is one
-  // relaxed load, so the disabled fast path stays clock-free.
-  l->acquire_nanos = 0;
-  if (l->tracked && ktrace::enabled()) [[unlikely]] begin_timed_hold(l);
+  static_assert(route(probe_kind::simple_untracked).hold == 0, "untracked holds go unheard");
   if (l->tracked) {
     ++held_tracked_simple_locks();
-    wait_graph::instance().resource_held(l, me, l->name);
+    lock_probe::acquired(probe_kind::simple, probe_site_of(l), me);
   }
 }
 
@@ -126,39 +108,15 @@ inline void simple_lock(simple_lock_data_t* l, spin_stats* stats = nullptr) {
   const void* me = current_thread_token();
   MACH_ASSERT(l->holder.load(std::memory_order_relaxed) != me,
               std::string("recursive simple_lock on ") + l->name);
-  bool contended = false;
-  std::uint64_t wait_start = 0;
   if (!spin_try_acquire(l->word, stats)) {
-    contended = true;
-    if (l->tracked && ktrace::enabled()) {
-      wait_start = now_nanos();
-      // Annotate the active request span (if any) with the lock it is
-      // about to spin on and the holder blocking it.
-      kspan::note_blocked(l->name, l, l->holder.load(std::memory_order_relaxed));
-    }
-    wait_graph::instance().thread_waits(me, l, l->name);
-    watchdog_note_wait_begin(stall_kind::simple_spin, l, l->name);
-    // kprof: attribute the spin, then restore whatever the thread was
-    // doing before (e.g. a complex-lock wait spinning on the interlock).
-    const kprof::activity_word prev_activity = kprof::self_word();
-    kprof::publish(kprof::activity::spinning, l->name);
+    const probe_kind kind = l->tracked ? probe_kind::simple : probe_kind::simple_untracked;
+    const wait_note wait = lock_probe::wait_begin(kind, detail::probe_site_of(l), me,
+                                                  l->holder.load(std::memory_order_relaxed));
     spin_acquire(l->word, l->policy, stats);
-    kprof::publish_word(prev_activity);
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
+    lock_probe::wait_end(kind, detail::probe_site_of(l), me, wait);
+    l->stat_class->count_contended();
   }
   detail::note_acquired(l, me);
-  if (contended) {
-    l->stat_class->count_contended();
-    // acquire_nanos doubles as the wait's end stamp; both are non-zero
-    // only if tracing stayed on across the whole wait.
-    if (wait_start != 0 && l->acquire_nanos != 0) {
-      const std::uint64_t wait = l->acquire_nanos - wait_start;
-      l->stat_class->record_wait(wait);
-      ktrace::emit_span(trace_kind::simple_lock_wait, l->name,
-                        reinterpret_cast<std::uint64_t>(l), wait, l->acquire_nanos);
-    }
-  }
 }
 
 inline bool simple_lock_try(simple_lock_data_t* l, spin_stats* stats = nullptr) {
@@ -174,11 +132,10 @@ inline void simple_unlock(simple_lock_data_t* l) {
   const void* me = current_thread_token();
   MACH_ASSERT(l->holder.load(std::memory_order_relaxed) == me,
               std::string("simple_unlock by non-holder of ") + l->name);
-  if (l->acquire_nanos != 0) [[unlikely]] detail::finish_timed_hold(l);
   l->holder.store(nullptr, std::memory_order_relaxed);
   if (l->tracked) {
     --held_tracked_simple_locks();
-    wait_graph::instance().resource_released(l, me);
+    lock_probe::released(probe_kind::simple, detail::probe_site_of(l), me);
   }
   spin_release(l->word);
 }

@@ -13,7 +13,6 @@ namespace mach::kspan {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{false};
 constinit thread_local span_ctx_t tl_ctx = 0;
 
 namespace {
@@ -97,8 +96,5 @@ void end_scope(const char* kind, [[maybe_unused]] span_ctx_t ctx, std::uint64_t 
 }
 
 }  // namespace detail
-
-void enable() noexcept { detail::g_enabled.store(true, std::memory_order_relaxed); }
-void disable() noexcept { detail::g_enabled.store(false, std::memory_order_relaxed); }
 
 }  // namespace mach::kspan

@@ -48,7 +48,6 @@ inline constexpr std::uint32_t span_span_id(span_ctx_t c) noexcept {
 namespace kspan {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 // The calling thread's active context; read by ktrace::detail::emit_slow to
 // stamp every record, and by the watchdog wait hooks to name the stalled
 // request. Written only by the owning thread (scope ctors/dtors).
@@ -65,23 +64,14 @@ void end_scope(const char* kind, span_ctx_t ctx, std::uint64_t start_nanos,
                bool root) noexcept;
 }  // namespace detail
 
-// The global switch. One relaxed load, same contract as ktrace::enabled().
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+// The global switch, kspan's bit in probe_mask. One relaxed load, same
+// contract as ktrace::enabled().
+inline bool enabled() noexcept { return probe_on(probe_kspan); }
+inline void enable() noexcept { probe_set(probe_kspan, true); }
+inline void disable() noexcept { probe_set(probe_kspan, false); }
 
 // The calling thread's active context (0 when none / spans disabled).
 inline span_ctx_t current() noexcept { return detail::tl_ctx; }
-
-// Annotate the active span: the calling thread is about to block on `lock`
-// whose current holder is `holder` (may be null when unknown, e.g. a
-// reader-held complex lock). Called from the sync slow paths; self-gates on
-// an active context so uninstrumented threads pay one TLS load.
-inline void note_blocked(const char* lock_name, const void* lock, const void* holder) noexcept {
-  if (detail::tl_ctx == 0) return;
-  ktrace::emit(trace_kind::span_blocked_on, lock_name,
-               reinterpret_cast<std::uint64_t>(holder), reinterpret_cast<std::uint64_t>(lock));
-}
 
 // RAII root span: one request, from arrival to reply. Installs a fresh
 // context for the scope's extent; no-op when kspan is disabled.

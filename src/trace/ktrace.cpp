@@ -62,7 +62,6 @@ bool trace_kind_is_span(trace_kind k) noexcept { return meta_for(k).is_span; }
 namespace ktrace {
 
 namespace detail {
-std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
 namespace {
@@ -132,9 +131,6 @@ void emit_slow(trace_kind kind, const char* name, std::uint64_t arg1, std::uint6
 }
 
 }  // namespace detail
-
-void enable() noexcept { detail::g_enabled.store(true, std::memory_order_relaxed); }
-void disable() noexcept { detail::g_enabled.store(false, std::memory_order_relaxed); }
 
 void set_thread_name(std::string name) {
   // Stash for the ring this thread may create later...

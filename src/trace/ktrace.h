@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "base/stats.h"
+#include "sync/lock_probe.h"
 
 namespace mach {
 
@@ -121,17 +122,17 @@ bool trace_kind_is_span(trace_kind k) noexcept;
 namespace ktrace {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 // Appends to the calling thread's ring, creating it on first use.
 void emit_slow(trace_kind kind, const char* name, std::uint64_t arg1, std::uint64_t arg2,
                std::uint64_t nanos) noexcept;
 }  // namespace detail
 
-// The global switch. enabled() is the tracepoint fast path: keep it to a
-// single relaxed load so disabled tracing stays near-free.
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+// The global switch, ktrace's bit in probe_mask. enabled() is the
+// tracepoint fast path: a single relaxed load, so disabled tracing stays
+// near-free.
+inline bool enabled() noexcept { return probe_on(probe_ktrace); }
+inline void enable() noexcept { probe_set(probe_ktrace, true); }
+inline void disable() noexcept { probe_set(probe_ktrace, false); }
 
 // Record an instant event, stamped now. No-op when disabled.
 inline void emit(trace_kind kind, const char* name = nullptr, std::uint64_t arg1 = 0,

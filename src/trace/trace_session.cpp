@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/env.h"
 #include "harness/bench_json.h"
 #include "metrics/kmetrics.h"
 #include "metrics/kmon.h"
@@ -26,19 +27,13 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-bool env_flag(const char* var) {
-  const char* v = std::getenv(var);
-  return v != nullptr && v[0] == '1';
-}
-
 }  // namespace
 
 trace_session::trace_session() {
   // Ring sizing must precede ktrace::enable(): rings are carved per thread
   // at first emit and keep their capacity for the process lifetime.
-  if (const char* cap = std::getenv("MACHLOCK_TRACE_RING_CAP")) {
-    const long v = std::atol(cap);
-    if (v > 0) ktrace::set_default_ring_capacity(static_cast<std::size_t>(v));
+  if (const long cap = env_number("MACHLOCK_TRACE_RING_CAP", 0L, 1L); cap > 0) {
+    ktrace::set_default_ring_capacity(static_cast<std::size_t>(cap));
   }
   const char* path = std::getenv("MACHLOCK_TRACE");
   if (path != nullptr && path[0] != '\0') {
@@ -55,11 +50,7 @@ trace_session::trace_session() {
   if (metrics != nullptr && metrics[0] != '\0') {
     metrics_path_ = metrics;
     kmon::enable();
-    int interval_ms = 200;
-    if (const char* iv = std::getenv("MACHLOCK_METRICS_INTERVAL_MS")) {
-      const int v = std::atoi(iv);
-      if (v > 0) interval_ms = v;
-    }
+    const int interval_ms = env_number("MACHLOCK_METRICS_INTERVAL_MS", 200, 1);
     if (!kmon::sampler::instance().running()) {
       kmon::sampler::instance().start(std::chrono::milliseconds(interval_ms));
       started_sampler_ = true;
@@ -71,16 +62,9 @@ trace_session::trace_session() {
     // The flight recorder snapshots kmon counters; without the registry
     // enabled every snapshot would be zeros.
     kmon::enable();
-    double hz = 97.0;
-    if (const char* h = std::getenv("MACHLOCK_PROF_HZ")) {
-      const double v = std::atof(h);
-      if (v > 0) hz = v;
-    }
-    int flight_ms = 20;
-    if (const char* f = std::getenv("MACHLOCK_PROF_FLIGHT_MS")) {
-      const int v = std::atoi(f);
-      if (v > 0) flight_ms = v;
-    }
+    const double hz = env_number("MACHLOCK_PROF_HZ", 97.0, 1.0);
+    // 0 turns the flight recorder off.
+    const int flight_ms = env_number("MACHLOCK_PROF_FLIGHT_MS", 20, 0);
     kprof::sampler::instance().start(hz, std::chrono::milliseconds(flight_ms));
     started_prof_ = true;
   }

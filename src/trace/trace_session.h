@@ -4,47 +4,13 @@
 //
 //     MACHLOCK_TRACE=out.json ./bench_e1_spin_policies
 //
-// The default constructor reads the environment (full matrix in
-// docs/OBSERVABILITY.md):
-//   MACHLOCK_TRACE=<path>    enable tracing; on destruction collect every
-//                            ring and write <path> (Chrome trace_event JSON
-//                            if the path ends in ".json", plain text
-//                            otherwise), then report counts on stderr.
-//   MACHLOCK_LOCKSTAT=json   on destruction, print the lock registry as
-//                            JSON on stdout (machine-readable lockstat;
-//                            independent of MACHLOCK_TRACE).
-//   MACHLOCK_METRICS=<path>  enable the kmon metrics registry and its
-//                            periodic rate sampler (interval from
-//                            MACHLOCK_METRICS_INTERVAL_MS, default 200);
-//                            on destruction export every metric to <path>
-//                            (Prometheus text if it ends in ".prom", JSON
-//                            otherwise).
-//   MACHLOCK_BENCH_JSON=<dir> collect every harness table this process
-//                            prints and write <dir>/BENCH_<name>.json on
-//                            destruction (see harness/bench_json.h).
-//   MACHLOCK_DEADLOCK=1      enable the wait-for-graph; on destruction
-//                            report any cycle still present.
-//   MACHLOCK_LOCK_ORDER=1    enable the lock-order validator; on
-//                            destruction report recorded violations.
-//   MACHLOCK_WATCHDOG=1      start the stall watchdog (deadlines from
-//                            MACHLOCK_WATCHDOG_{POLL,SPIN,BLOCK,WRITER}_MS,
-//                            MACHLOCK_WATCHDOG_PANIC=1 to panic on a trip).
-//   MACHLOCK_SPANS=1         enable kspan request-scoped causal tracing
-//                            (see trace/kspan.h); pairs with MACHLOCK_TRACE
-//                            for flow events and tools/span_report.
-//   MACHLOCK_TRACE_RING_CAP=<n>  per-thread trace ring capacity in records
-//                            (applied before tracing starts; undersized
-//                            rings surface as machlock_trace_dropped_total).
-//   MACHLOCK_PROF=<path|1>   start the kprof sampling profiler (see
-//                            prof/kprof.h); on destruction export the
-//                            profile + flight recorder as schema-stamped
-//                            JSON to <path> ("1" means ./kprof.json).
-//                            Implies kmon::enable() so the flight recorder
-//                            has live counters to snapshot. Sampling rate
-//                            from MACHLOCK_PROF_HZ (default 97 — prime, so
-//                            ticks do not phase-lock with periodic work),
-//                            snapshot cadence from MACHLOCK_PROF_FLIGHT_MS
-//                            (default 20).
+// The default constructor reads the MACHLOCK_* environment; the one list
+// of variables, defaults and exports is docs/OBSERVABILITY.md. Each
+// instrument switched on there is started here; the destructor stops what
+// this session started, writes its exports (trace, metrics, kprof profile,
+// lockstat and bench JSON) and prints its reports (wait-graph cycles,
+// lock-order violations). Numbers are read by env_number (base/env.h): a
+// malformed value is reported on stderr and the default kept.
 #pragma once
 
 #include <string>

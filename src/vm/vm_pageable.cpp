@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 
 namespace mach {
 namespace {
@@ -120,7 +121,7 @@ kern_return_t vm_map_reclaim(vm_map& map, zone& page_zone, std::size_t target_pa
   const void* me = current_thread_token();
   // Announce responsibility for producing memory: the deadlock detector
   // needs the zone→reclaimer edge to close E6's cycle.
-  wait_graph::instance().resource_held(&page_zone, me, page_zone.name());
+  lock_probe::acquired(probe_kind::zone, {&page_zone, page_zone.name()}, me);
 
   std::size_t reclaimed = 0;
   {
@@ -132,7 +133,7 @@ kern_return_t vm_map_reclaim(vm_map& map, zone& page_zone, std::size_t target_pa
     }
   }
 
-  wait_graph::instance().resource_released(&page_zone, me);
+  lock_probe::released(probe_kind::zone, {&page_zone, page_zone.name()}, me);
   return reclaimed > 0 ? KERN_SUCCESS : KERN_FAILURE;
 }
 

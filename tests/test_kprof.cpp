@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 #include "trace/kspan.h"
+#include "trace/trace_session.h"
 
 namespace mach {
 namespace {
@@ -154,7 +157,7 @@ TEST_F(kprof_fixture, ZeroSampleSnapshotExportsValidJson) {
 }
 
 // The acceptance scenario: three threads pinned in the three wait states
-// for the whole sampling window, so the attribution is deterministic —
+// for most of the sampling window, so the attribution is deterministic —
 // every sample of each thread must land on the right (state, site) cell —
 // and the profiler's contention ranking can be cross-checked against the
 // event-based lockstat registry while both are live.
@@ -171,6 +174,12 @@ TEST_F(kprof_fixture, AttributesScriptedSpinWaitBlockAndAgreesWithLockstat) {
   std::atomic<bool> wedged{false};
   std::atomic<bool> reading{false};
   std::atomic<bool> release{false};
+
+  // The lock probe publishes activity words only while a reader (the
+  // sampler, or an armed watchdog) is on, so sampling starts before the
+  // threads enter their waits.
+  kprof::sampler& s = kprof::sampler::instance();
+  s.start(/*hz=*/2000.0, /*flight_interval=*/5ms);
 
   // Holder wedges both locks; spinner/waiter/blocker then sit in their
   // respective states until released.
@@ -199,8 +208,6 @@ TEST_F(kprof_fixture, AttributesScriptedSpinWaitBlockAndAgreesWithLockstat) {
     thread_block_timeout(2000ms);  // nobody wakes us; released below
   });
 
-  kprof::sampler& s = kprof::sampler::instance();
-  s.start(/*hz=*/2000.0, /*flight_interval=*/5ms);
   std::this_thread::sleep_for(120ms);
   s.stop();
 
@@ -255,6 +262,24 @@ TEST_F(kprof_fixture, AttributesScriptedSpinWaitBlockAndAgreesWithLockstat) {
     }
   }
   EXPECT_TRUE(probe_in_flight) << "flight snapshot missing the kmon probe counter";
+}
+
+// MACHLOCK_PROF_FLIGHT_MS=0 turns the flight recorder off, as
+// docs/OBSERVABILITY.md says, rather than falling back to the default.
+TEST_F(kprof_fixture, TraceSessionFlightMsZeroDisablesTheFlightRing) {
+  const std::string path = ::testing::TempDir() + "kprof_flight_off.json";
+  setenv("MACHLOCK_PROF", path.c_str(), 1);
+  setenv("MACHLOCK_PROF_FLIGHT_MS", "0", 1);
+  {
+    const trace_session session;
+    std::this_thread::sleep_for(50ms);
+    const kprof::profile p = kprof::sampler::instance().snapshot();
+    EXPECT_EQ(p.flight_interval_nanos, 0u);
+    EXPECT_TRUE(p.flight.empty());
+  }
+  unsetenv("MACHLOCK_PROF");
+  unsetenv("MACHLOCK_PROF_FLIGHT_MS");
+  std::remove(path.c_str());
 }
 
 }  // namespace

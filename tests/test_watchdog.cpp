@@ -8,18 +8,26 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "kern/zalloc.h"
 #include "metrics/watchdog.h"
+#include "prof/kprof.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
+#include "sync/deadlock.h"
+#include "sync/lock_probe.h"
 #include "sync/simple_lock.h"
 #include "trace/kspan.h"
+#include "trace/ktrace.h"
 
 namespace mach {
 namespace {
@@ -276,17 +284,153 @@ TEST(Watchdog, ConfigFromEnvReadsOverrides) {
   setenv("MACHLOCK_WATCHDOG_POLL_MS", "7", 1);
   setenv("MACHLOCK_WATCHDOG_SPIN_MS", "123", 1);
   setenv("MACHLOCK_WATCHDOG_PANIC", "1", 1);
+  setenv("MACHLOCK_WATCHDOG_BLOCK_MS", "5s", 1);  // malformed: the default stays
   watchdog_config cfg = watchdog_config_from_env();
   EXPECT_EQ(cfg.poll, 7ms);
   EXPECT_EQ(cfg.spin_deadline, 123ms);
+  EXPECT_EQ(cfg.block_deadline, 2000ms);
   EXPECT_TRUE(cfg.panic_on_trip);
   unsetenv("MACHLOCK_WATCHDOG_POLL_MS");
   unsetenv("MACHLOCK_WATCHDOG_SPIN_MS");
   unsetenv("MACHLOCK_WATCHDOG_PANIC");
+  unsetenv("MACHLOCK_WATCHDOG_BLOCK_MS");
   cfg = watchdog_config_from_env();
   EXPECT_EQ(cfg.poll, 10ms);
   EXPECT_EQ(cfg.spin_deadline, 250ms);
   EXPECT_FALSE(cfg.panic_on_trip);
+}
+
+// --- the lock probe's contract (sync/lock_probe.h) ---
+
+// The wait kind alone routes an event.
+static_assert((route(probe_kind::complex_read).wait & probe_watchdog) == 0,
+              "a reader's wait is not a stall");
+static_assert(route(probe_kind::zone).wait == probe_wait_graph &&
+                  route(probe_kind::zone).hold == probe_wait_graph &&
+                  route(probe_kind::barrier).wait == probe_wait_graph &&
+                  route(probe_kind::barrier).hold == probe_wait_graph,
+              "zone and barrier edges feed only the wait graph");
+static_assert(route(probe_kind::simple_untracked).wait != 0 &&
+                  route(probe_kind::simple_untracked).hold == 0,
+              "untracked locks report waits but not holds");
+
+// A helper takes a hold with `hold`, this thread then blocks in `contend`,
+// and the helper runs `release` once it sees this thread's activity word
+// read `waiting`: `contend` makes exactly one contended acquisition.
+void contend_once(kprof::activity waiting, const std::function<void()>& hold,
+                  const std::function<void()>& contend, const std::function<void()>& release) {
+  const void* me = current_thread_token();
+  std::atomic<bool> held{false};
+  auto helper = kthread::spawn("probe-holder", [&] {
+    hold();
+    held.store(true);
+    while (kprof::activity_for(me).state != waiting) std::this_thread::yield();
+    release();
+  });
+  while (!held.load()) std::this_thread::yield();
+  contend();
+  helper->join();
+}
+
+// Every subscriber on, one contended acquisition of each kind: afterwards
+// no wait or hold edge, stall entry or activity word outlives it, and
+// ktrace holds exactly one wait span per contended acquisition.
+TEST(LockProbe, EverySubscriberOnLeavesNothingBehind) {
+  watchdog_config cfg;
+  cfg.poll = 5ms;
+  cfg.spin_deadline = 200ms;
+  cfg.block_deadline = 200ms;
+  cfg.writer_deadline = 200ms;
+  trip_collector trips(cfg);
+  const deadlock_tracing_scope graph;
+  ktrace::reset();
+  ktrace::enable();
+  kspan::enable();
+
+  simple_lock_data_t spin;
+  simple_lock_init(&spin, "probe-spin");
+  lock_data_t rw;
+  lock_init(&rw, /*can_sleep=*/true, "probe-rw");
+  zone z("probe-zone", sizeof(std::uint64_t), 1);
+  {
+    const kspan::request req("probe-contract");
+    kprof::publish(kprof::activity::running, nullptr);
+    const kprof::activity_word prior = kprof::self_word();
+
+    contend_once(
+        kprof::activity::spinning, [&] { simple_lock(&spin); },
+        [&] {
+          simple_lock(&spin);
+          simple_unlock(&spin);
+        },
+        [&] { simple_unlock(&spin); });
+    contend_once(
+        kprof::activity::lock_waiting, [&] { lock_write(&rw); },
+        [&] {
+          lock_read(&rw);
+          lock_done(&rw);
+        },
+        [&] { lock_done(&rw); });
+    contend_once(
+        kprof::activity::lock_waiting, [&] { lock_read(&rw); },
+        [&] {
+          lock_write(&rw);
+          lock_done(&rw);
+        },
+        [&] { lock_done(&rw); });
+    lock_read(&rw);
+    contend_once(
+        kprof::activity::lock_waiting, [&] { lock_read(&rw); },
+        [&] {
+          EXPECT_FALSE(lock_read_to_write(&rw));  // false: upgraded
+          lock_done(&rw);
+        },
+        [&] { lock_done(&rw); });
+    void* element = nullptr;
+    contend_once(
+        kprof::activity::blocked, [&] { element = z.alloc(); },
+        [&] { z.free(z.alloc()); }, [&] { z.free(element); });
+
+    EXPECT_EQ(kprof::self_word(), prior);
+  }
+  EXPECT_TRUE(wait_graph::instance().held_resources().empty());
+  EXPECT_FALSE(wait_graph::instance().find_cycle().has_value());
+
+  std::this_thread::sleep_for(3 * cfg.block_deadline);
+  EXPECT_EQ(trips.trips(), 0u) << watchdog::instance().last_report();
+
+  kspan::disable();
+  ktrace::disable();
+  std::map<std::pair<trace_kind, std::uint64_t>, int> waits;
+  for (const ktrace::collected_event& e : ktrace::collect().events) {
+    switch (e.rec.kind) {
+      case trace_kind::simple_lock_wait:
+      case trace_kind::complex_read_wait:
+      case trace_kind::complex_write_wait:
+      case trace_kind::complex_upgrade_wait: ++waits[{e.rec.kind, e.rec.arg1}]; break;
+      default: break;
+    }
+  }
+  ktrace::reset();
+  const auto addr = [](const void* p) { return reinterpret_cast<std::uint64_t>(p); };
+  EXPECT_EQ((waits[{trace_kind::simple_lock_wait, addr(&spin)}]), 1);
+  EXPECT_EQ((waits[{trace_kind::complex_read_wait, addr(&rw)}]), 1);
+  EXPECT_EQ((waits[{trace_kind::complex_write_wait, addr(&rw)}]), 1);
+  EXPECT_EQ((waits[{trace_kind::complex_upgrade_wait, addr(&rw)}]), 1);
+}
+
+// The sampler stops between lock_write and lock_done: the release still
+// clears the holding word it published.
+TEST(LockProbe, SamplerStoppedMidHoldLeavesNoHoldingWord) {
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/true, "probe-mid-hold");
+  kprof::sampler::instance().start(97.0, 0ms);
+  lock_write(&l);
+  EXPECT_EQ(kprof::unpack_state(kprof::self_word()), kprof::activity::holding);
+  kprof::sampler::instance().stop();
+  lock_done(&l);
+  EXPECT_NE(kprof::unpack_state(kprof::self_word()), kprof::activity::holding);
+  kprof::sampler::instance().reset();
 }
 
 }  // namespace
