@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "metrics/kmon.h"
 #include "trace/trace_export.h"
 
 namespace mach {
@@ -40,14 +41,6 @@ void append_double(std::string& out, double v) {
     std::snprintf(buf, sizeof buf, "%.6g", v);
     out += buf;
   }
-}
-
-bool is_counter_name(const std::string& name) {
-  // Prometheus counter convention; labelled counters look like
-  // "machlock_x_total{k=\"v\"}".
-  const std::size_t brace = name.find('{');
-  const std::string base = brace == std::string::npos ? name : name.substr(0, brace);
-  return base.size() > 6 && base.compare(base.size() - 6, 6, "_total") == 0;
 }
 
 }  // namespace
@@ -229,18 +222,13 @@ std::string render_flight_json(const kprof::profile& p) {
     // Per-interval counter rates against the previous snapshot: the
     // delta-over-time view the end-of-run kmon export cannot give.
     if (prev != nullptr && f.nanos > prev->nanos) {
-      const double dt = static_cast<double>(f.nanos - prev->nanos) / 1e9;
-      std::map<std::string, double> prev_vals(prev->values.begin(), prev->values.end());
       out += ",\"rates\":{";
       bool rfirst = true;
-      for (const auto& [name, v] : f.values) {
-        if (!is_counter_name(name)) continue;
-        auto it = prev_vals.find(name);
-        if (it == prev_vals.end()) continue;
+      for (const kmon::rate_sample& r : kmon::counter_rates(*prev, f)) {
         if (!rfirst) out += ",";
         rfirst = false;
-        out += "\"" + json_escape(name) + "\":";
-        append_double(out, (v - it->second) / dt);
+        out += "\"" + json_escape(r.name) + "\":";
+        append_double(out, r.per_second);
       }
       out += "}";
     }

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <mutex>
 #include <set>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
 
 #include "harness/table.h"
@@ -283,101 +283,41 @@ std::string export_json(const std::vector<metric_sample>& samples,
   return out;
 }
 
-bool export_file(const std::string& path) {
+bool export_file(const std::string& path, const std::vector<rate_sample>* rates) {
   const std::vector<metric_sample> snap = registry::instance().snapshot();
   const bool prom = path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-  std::string body;
-  if (prom) {
-    body = export_prometheus(snap);
-  } else {
-    const std::vector<rate_sample> r = sampler::instance().rates();
-    body = export_json(snap, r.empty() ? nullptr : &r);
-    body += "\n";
-  }
+  const std::string body = prom ? export_prometheus(snap) : export_json(snap, rates) + "\n";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
   return std::fclose(f) == 0 && ok;
 }
 
-// --- sampler ---
+// --- rates ---
 
-struct sampler::impl {
-  mutable std::mutex m;
-  std::thread thread;
-  std::atomic<bool> stop{false};
-  bool running = false;
-  std::vector<rate_sample> last_rates;  // guarded by m
-
-  void window(std::chrono::milliseconds interval) {
-    std::unordered_map<std::string, double> prev;
-    std::uint64_t prev_nanos = now_nanos();
-    for (const metric_sample& s : registry::instance().snapshot()) {
-      if (s.kind == metric_kind::counter) prev[prom_sample_name(s)] = s.value;
-    }
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(interval);
-      const std::uint64_t now = now_nanos();
-      const double dt = static_cast<double>(now - prev_nanos) / 1e9;
-      std::vector<rate_sample> rates;
-      std::unordered_map<std::string, double> cur;
-      for (const metric_sample& s : registry::instance().snapshot()) {
-        if (s.kind != metric_kind::counter) continue;
-        const std::string name = prom_sample_name(s);
-        cur[name] = s.value;
-        auto it = prev.find(name);
-        const double delta = it == prev.end() ? s.value : s.value - it->second;
-        if (dt > 0) rates.push_back({name, delta / dt});
-      }
-      prev = std::move(cur);
-      prev_nanos = now;
-      std::lock_guard<std::mutex> g(m);
-      last_rates = std::move(rates);
-    }
+value_snapshot snapshot_values(std::uint64_t nanos) {
+  value_snapshot out;
+  out.nanos = nanos;
+  for (const metric_sample& s : registry::instance().snapshot()) {
+    if (s.kind != metric_kind::histogram) out.values.emplace_back(prom_sample_name(s), s.value);
   }
-};
-
-sampler& sampler::instance() noexcept {
-  static sampler* s = new sampler;
-  return *s;
+  return out;
 }
 
-sampler::impl& sampler::self() const {
-  static impl* i = new impl;
-  return *i;
-}
-
-void sampler::start(std::chrono::milliseconds interval) {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  if (s.running) return;
-  s.stop.store(false);
-  s.thread = std::thread([&s, interval] { s.window(interval); });
-  s.running = true;
-}
-
-void sampler::stop() {
-  impl& s = self();
-  {
-    std::lock_guard<std::mutex> g(s.m);
-    if (!s.running) return;
-    s.stop.store(true);
+std::vector<rate_sample> counter_rates(const value_snapshot& from, const value_snapshot& to) {
+  std::vector<rate_sample> out;
+  if (to.nanos <= from.nanos) return out;
+  const double dt = static_cast<double>(to.nanos - from.nanos) / 1e9;
+  const std::unordered_map<std::string, double> before(from.values.begin(), from.values.end());
+  for (const auto& [name, v] : to.values) {
+    // Counters follow the Prometheus "_total" convention; a labelled one
+    // reads "machlock_x_total{k=\"v\"}".
+    const std::string_view base = std::string_view(name).substr(0, name.find('{'));
+    if (!base.ends_with("_total")) continue;
+    auto it = before.find(name);
+    if (it != before.end()) out.push_back({name, (v - it->second) / dt});
   }
-  s.thread.join();
-  std::lock_guard<std::mutex> g(s.m);
-  s.running = false;
-}
-
-bool sampler::running() const noexcept {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  return s.running;
-}
-
-std::vector<rate_sample> sampler::rates() const {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  return s.last_rates;
+  return out;
 }
 
 }  // namespace mach::kmon

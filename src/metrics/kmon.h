@@ -7,7 +7,8 @@
 // TLB-shootdown rounds the vm layer paid for. kmon is that system-wide
 // instrument: a typed registry of self-registering metrics that every
 // subsystem feeds, exportable as JSON or Prometheus text exposition, with
-// a periodic sampler computing delta rates.
+// counter rates computed between two value snapshots (kprof's flight ring
+// keeps them; prof/kprof.h).
 //
 // Metric types:
 //   * counter   — monotonically increasing event tally, striped across
@@ -31,10 +32,10 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/compiler.h"
@@ -250,8 +251,8 @@ std::string prom_escape_label_value(const std::string& v);
 // mini-parser (tests/test_metrics.cpp).
 std::string export_prometheus(const std::vector<metric_sample>& samples);
 
-// One JSON object per metric. When `rates` is non-null, counters carry the
-// sampler's last-window per-second rate as "rate_per_sec".
+// One JSON object per metric. When `rates` is non-null, counters carry
+// their rate as "rate_per_sec".
 struct rate_sample {
   std::string name;   // metric name (+ "{label}" suffix when labelled)
   double per_second = 0.0;
@@ -260,32 +261,25 @@ std::string export_json(const std::vector<metric_sample>& samples,
                         const std::vector<rate_sample>* rates = nullptr);
 
 // Snapshot now and write `path`: Prometheus text if the path ends in
-// ".prom", JSON otherwise. Includes sampler rates in JSON when the sampler
-// ran. Returns false on I/O failure.
-bool export_file(const std::string& path);
+// ".prom", JSON (with `rates`, when given) otherwise. Returns false on
+// I/O failure.
+bool export_file(const std::string& path, const std::vector<rate_sample>* rates = nullptr);
 
-// --- periodic sampler ---
+// --- rates ---
 
-// Background thread snapshotting every `interval`, computing per-counter
-// delta rates over the last completed window. Used by trace_session when
-// MACHLOCK_METRICS is set so the final export carries rates, and usable
-// standalone for live monitoring.
-class sampler {
- public:
-  static sampler& instance() noexcept;
-
-  void start(std::chrono::milliseconds interval);
-  void stop();
-  bool running() const noexcept;
-
-  // Per-counter rates over the last completed window; empty before the
-  // first window completes.
-  std::vector<rate_sample> rates() const;
-
- private:
-  sampler() = default;
-  struct impl;
-  impl& self() const;
+// Every counter and gauge value at one instant, keyed by sample name as
+// rate_sample names them; histograms are left out. kprof's flight ring is
+// a sequence of these.
+struct value_snapshot {
+  std::uint64_t nanos = 0;  // the ring's clock
+  std::vector<std::pair<std::string, double>> values;
 };
+value_snapshot snapshot_values(std::uint64_t nanos);
+
+// Per-second rate of every counter (a "_total" name) present in both
+// snapshots, from `from` to `to`; empty unless `to` is later. The one
+// delta function behind the JSON export's rate_per_sec and prof_report's
+// flight rates.
+std::vector<rate_sample> counter_rates(const value_snapshot& from, const value_snapshot& to);
 
 }  // namespace mach::kmon

@@ -1,11 +1,9 @@
 #include "metrics/watchdog.h"
 
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "base/env.h"
 #include "base/panic.h"
@@ -69,7 +67,6 @@ void note_wait_end() noexcept {
 
 watchdog_config watchdog_config_from_env() {
   watchdog_config cfg;
-  cfg.poll = std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_POLL_MS", 10, 1));
   cfg.spin_deadline = std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_SPIN_MS", 250, 1));
   cfg.block_deadline =
       std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_BLOCK_MS", 2000, 1));
@@ -80,12 +77,15 @@ watchdog_config watchdog_config_from_env() {
 }
 
 struct watchdog::impl {
-  mutable std::mutex m;
-  std::thread thread;
-  std::atomic<bool> stop{false};
-  bool running = false;
-  watchdog_config cfg;
+  // Held by start, stop and a scan, trip sink included, so once stop
+  // returns no scan runs and the sink is not called again. A scan only
+  // tries it: a tick that meets start or stop skips its scan.
+  std::mutex ctl;
+  std::atomic<bool> running{false};
+  watchdog_config cfg;                    // guarded by ctl
+  std::map<int, std::uint64_t> reported;  // slot -> `since` it tripped for; ctl
   std::atomic<std::uint64_t> trips{0};
+  mutable std::mutex m;
   std::string last_report;  // guarded by m
 
   std::uint64_t deadline_nanos(stall_kind k) const {
@@ -177,29 +177,25 @@ struct watchdog::impl {
             std::uint64_t age, std::uint64_t deadline, std::uint64_t span) {
     const std::string report = build_report(k, thread, resource, rname, age, deadline, span);
     trips.fetch_add(1, std::memory_order_relaxed);
-    std::function<void(const std::string&)> sink;
-    bool do_panic = false;
     {
       std::lock_guard<std::mutex> g(m);
       last_report = report;
-      sink = cfg.on_trip;
-      do_panic = cfg.panic_on_trip;
     }
-    if (sink) {
-      sink(report);
+    if (cfg.on_trip) {
+      cfg.on_trip(report);
     } else {
       std::fwrite(report.data(), 1, report.size(), stderr);
       std::fflush(stderr);
       // The full table dump goes to stdout, where the bench output lives.
       lock_registry::instance().print_top(10);
     }
-    if (do_panic) {
+    if (cfg.panic_on_trip) {
       panic("watchdog: " + std::string(to_string(k)) + " stall on '" +
             (rname != nullptr ? rname : "?") + "' exceeded deadline");
     }
   }
 
-  void scan(std::map<int, std::uint64_t>& reported) {
+  void scan() {
     const std::uint64_t now = now_nanos();
     for (int i = 0; i < kprof::detail::k_slots; ++i) {
       auto& s = kprof::detail::g_slots[i];
@@ -224,15 +220,13 @@ struct watchdog::impl {
       trip(k, thread, resource, rname, now - since, deadline, span);
     }
   }
-
-  void loop() {
-    std::map<int, std::uint64_t> reported;
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(cfg.poll);
-      scan(reported);
-    }
-  }
 };
+
+void watchdog_detail::scan() {
+  watchdog::impl& s = watchdog::instance().self();
+  std::unique_lock<std::mutex> g(s.ctl, std::try_to_lock);
+  if (g.owns_lock() && s.running.load(std::memory_order_relaxed)) s.scan();
+}
 
 watchdog& watchdog::instance() noexcept {
   static watchdog* w = new watchdog;
@@ -246,32 +240,26 @@ watchdog::impl& watchdog::self() const {
 
 void watchdog::start(const watchdog_config& cfg) {
   impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  if (s.running) return;
+  std::lock_guard<std::mutex> g(s.ctl);
+  if (s.running.load(std::memory_order_relaxed)) return;
   s.cfg = cfg;
-  s.stop.store(false);
+  s.reported.clear();
+  s.running.store(true, std::memory_order_relaxed);
   probe_set(probe_watchdog, true);
-  s.thread = std::thread([&s] { s.loop(); });
-  s.running = true;
+  kprof::sampler::instance().watch(true);
 }
 
 void watchdog::stop() {
   impl& s = self();
-  {
-    std::lock_guard<std::mutex> g(s.m);
-    if (!s.running) return;
-    probe_set(probe_watchdog, false);
-    s.stop.store(true);
-  }
-  s.thread.join();
-  std::lock_guard<std::mutex> g(s.m);
-  s.running = false;
+  std::lock_guard<std::mutex> g(s.ctl);
+  if (!s.running.load(std::memory_order_relaxed)) return;
+  probe_set(probe_watchdog, false);
+  s.running.store(false, std::memory_order_relaxed);
+  kprof::sampler::instance().watch(false);
 }
 
 bool watchdog::running() const noexcept {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  return s.running;
+  return self().running.load(std::memory_order_relaxed);
 }
 
 std::uint64_t watchdog::trips() const noexcept {

@@ -1,6 +1,7 @@
 #include "prof/kprof.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -9,7 +10,7 @@
 #include <thread>
 
 #include "base/stats.h"
-#include "metrics/kmon.h"
+#include "metrics/watchdog.h"
 #include "sync/deadlock.h"
 #include "sync/lock_probe.h"
 #include "trace/trace_export.h"
@@ -112,15 +113,20 @@ namespace {
 
 constexpr std::size_t k_flight_ring_cap = 512;
 
+constexpr unsigned user_profile = 1, user_watchdog = 2, user_metrics = 4;
+
 }  // namespace
 
 struct sampler::impl {
-  mutable std::mutex m;  // guards everything below plus start/stop state
-  std::thread thread;
-  std::atomic<bool> stop{false};
-  bool running = false;
-  double hz = 0.0;
+  mutable std::mutex m;  // the profile mutex: guards everything up to `life`
+  std::condition_variable wake;
+  unsigned users = 0;  // user_* bits
+  bool stop = false;
+  double hz = default_hz;  // the profiling rate
   std::uint64_t flight_interval_nanos = 0;
+  std::uint64_t next_flight = 0;
+  std::uint64_t last_tick = 0;
+  std::uint64_t epoch = 0;  // flight times count from here
 
   // Accumulated profile, keyed by packed word so the tick loop does one
   // map bump per claimed slot and all string work happens at snapshot.
@@ -134,49 +140,84 @@ struct sampler::impl {
   std::deque<flight_snapshot> flight;
   std::uint64_t flight_dropped = 0;
 
-  void take_flight_snapshot(std::uint64_t rel_nanos) {
-    flight_snapshot snap;
-    snap.nanos = rel_nanos;
-    for (const kmon::metric_sample& s : kmon::registry::instance().snapshot()) {
-      if (s.kind == kmon::metric_kind::histogram) continue;
-      std::string key = s.name;
-      if (!s.label_key.empty()) {
-        key += "{" + s.label_key + "=\"" + kmon::prom_escape_label_value(s.label_value) + "\"}";
+  std::mutex life;     // serializes user changes: a thread launch or join
+  std::thread thread;  // guarded by life
+
+  // Turn user `u` on or off; `configure` runs under m when it turns on.
+  // The first user launches the thread and the last one joins it.
+  template <class F>
+  void set_user(unsigned u, bool on, F&& configure) {
+    std::lock_guard<std::mutex> l(life);
+    bool launch = false, join = false;
+    {
+      std::lock_guard<std::mutex> g(m);
+      if (((users & u) != 0) == on) return;
+      if (on) {
+        configure();
+        launch = users == 0;
+        users |= u;
+      } else {
+        users &= ~u;
+        join = users == 0;
       }
-      snap.values.emplace_back(std::move(key), s.value);
+      if (launch) {
+        last_tick = now_nanos();
+        if (epoch == 0) epoch = last_tick;
+      }
+      stop = join;
     }
-    if (flight.size() >= k_flight_ring_cap) {
-      flight.pop_front();
-      ++flight_dropped;
+    if (launch) thread = std::thread([this] { loop(); });
+    if (join) {
+      wake.notify_all();
+      thread.join();
     }
-    flight.push_back(std::move(snap));
   }
 
-  void loop(std::chrono::nanoseconds tick, std::uint64_t flight_every) {
-    const std::uint64_t start = now_nanos();
-    std::uint64_t last = start;
-    std::uint64_t next_flight = start;  // first snapshot on the first tick
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(tick);
-      const std::uint64_t now = now_nanos();
-      const std::uint64_t weight = now - last;
-      last = now;
-      std::lock_guard<std::mutex> g(m);
-      ++ticks;
-      duration_nanos = now - start;
-      for (int i = 0; i < detail::k_slots; ++i) {
-        detail::activity_slot& s = detail::g_slots[i];
-        if (s.token.load(std::memory_order_acquire) == nullptr) continue;
-        const activity_word w = s.word.load(std::memory_order_relaxed);
-        cell& c = agg[w];
-        ++c.count;
-        c.weight_nanos += weight;
+  void loop() {
+    std::unique_lock<std::mutex> g(m);
+    for (;;) {
+      const double rate = (users & user_profile) != 0 ? hz : default_hz;
+      if (wake.wait_for(g, std::chrono::nanoseconds(static_cast<std::uint64_t>(1e9 / rate)),
+                        [this] { return stop; })) {
+        return;
       }
-      if (flight_every != 0 && now >= next_flight) {
-        take_flight_snapshot(now - start);
-        next_flight = now + flight_every;
+      const std::uint64_t now = now_nanos();
+      const std::uint64_t weight = now - last_tick;
+      last_tick = now;
+      if ((users & user_profile) != 0) {
+        ++ticks;
+        duration_nanos += weight;
+        for (int i = 0; i < detail::k_slots; ++i) {
+          detail::activity_slot& s = detail::g_slots[i];
+          if (s.token.load(std::memory_order_acquire) == nullptr) continue;
+          cell& c = agg[s.word.load(std::memory_order_relaxed)];
+          ++c.count;
+          c.weight_nanos += weight;
+        }
+      }
+      if ((users & (user_profile | user_metrics)) != 0 && flight_interval_nanos != 0 &&
+          now >= next_flight) {
+        if (flight.size() >= k_flight_ring_cap) {
+          flight.pop_front();
+          ++flight_dropped;
+        }
+        flight.push_back(kmon::snapshot_values(now - epoch));
+        next_flight = now + flight_interval_nanos;
+      }
+      if ((users & user_watchdog) != 0) {
+        // A trip builds a report and may panic: not under the profile mutex.
+        g.unlock();
+        watchdog_detail::scan();
+        g.lock();
       }
     }
+  }
+
+  // The first flight snapshot comes on the next tick.
+  void set_flight_interval(std::chrono::milliseconds interval) {
+    flight_interval_nanos =
+        interval.count() <= 0 ? 0 : static_cast<std::uint64_t>(interval.count()) * 1'000'000;
+    next_flight = 0;
   }
 };
 
@@ -192,40 +233,30 @@ sampler::impl& sampler::self() const {
 
 void sampler::start(double hz, std::chrono::milliseconds flight_interval) {
   impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  if (s.running) return;
-  hz = std::clamp(hz, 1.0, 10000.0);
-  const auto tick = std::chrono::nanoseconds(static_cast<std::uint64_t>(1e9 / hz));
-  const std::uint64_t flight_every =
-      flight_interval.count() <= 0
-          ? 0
-          : static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(flight_interval).count());
-  s.hz = hz;
-  s.flight_interval_nanos = flight_every;
-  s.stop.store(false);
-  s.thread = std::thread([&s, tick, flight_every] { s.loop(tick, flight_every); });
-  s.running = true;
-  probe_set(probe_kprof, true);
+  s.set_user(user_profile, true, [&] {
+    s.hz = std::clamp(hz, 1.0, 10000.0);
+    s.set_flight_interval(flight_interval);
+    s.last_tick = now_nanos();
+    probe_set(probe_kprof, true);
+  });
 }
 
 void sampler::stop() {
-  impl& s = self();
-  {
-    std::lock_guard<std::mutex> g(s.m);
-    if (!s.running) return;
-    probe_set(probe_kprof, false);
-    s.stop.store(true);
-  }
-  s.thread.join();
-  std::lock_guard<std::mutex> g(s.m);
-  s.running = false;
+  probe_set(probe_kprof, false);
+  self().set_user(user_profile, false, [] {});
 }
 
 bool sampler::running() const noexcept {
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
-  return s.running;
+  return (s.users & user_profile) != 0;
+}
+
+void sampler::watch(bool on) { self().set_user(user_watchdog, on, [] {}); }
+
+void sampler::record(bool on, std::chrono::milliseconds flight_interval) {
+  impl& s = self();
+  s.set_user(user_metrics, on, [&] { s.set_flight_interval(flight_interval); });
 }
 
 profile sampler::snapshot() const {
@@ -269,6 +300,8 @@ void sampler::reset() {
   s.duration_nanos = 0;
   s.flight.clear();
   s.flight_dropped = 0;
+  s.last_tick = s.epoch = now_nanos();
+  s.next_flight = 0;
 }
 
 // --- export ---

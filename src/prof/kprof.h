@@ -14,11 +14,13 @@
 //     publishes while the sampler runs or the watchdog is armed (its trip
 //     reports quote the word); otherwise those transitions store nothing
 //     (see docs/OBSERVABILITY.md for measured numbers);
-//   * an optional SAMPLER thread walks the slot table at a configured
-//     rate, accumulating weighted samples into per-(state, site) profiles,
-//     and keeps a *flight recorder* ring of periodic kmon counter/gauge
-//     snapshots so counter behavior over the course of a run — not just
-//     its end-of-run total — is visible.
+//   * the SAMPLER's thread, the process's one monitor thread, walks the
+//     slot table at a configured rate, accumulating weighted samples into
+//     per-(state, site) profiles, and keeps a *flight recorder* ring of
+//     periodic kmon counter/gauge snapshots so counter behavior over the
+//     course of a run — not just its end-of-run total — is visible. The
+//     same thread runs the watchdog's deadline scan (metrics/watchdog.h),
+//     and the ring's span is the metrics export's rate window.
 //
 // Activity states:
 //   running      — on CPU (or at least not inside an instrumented wait);
@@ -53,6 +55,7 @@
 #include <vector>
 
 #include "base/compiler.h"
+#include "metrics/kmon.h"
 #include "trace/kspan.h"
 
 namespace mach::kprof {
@@ -160,11 +163,9 @@ struct site_sample {
   std::uint64_t weight_nanos = 0;  // sum of inter-tick intervals
 };
 
-// One flight-recorder entry: every kmon counter/gauge value at `nanos`.
-struct flight_snapshot {
-  std::uint64_t nanos = 0;  // relative to sampler start
-  std::vector<std::pair<std::string, double>> values;  // name -> value
-};
+// One flight-recorder entry: every kmon counter/gauge value at `nanos`,
+// which counts from the first start or the last reset.
+using flight_snapshot = kmon::value_snapshot;
 
 struct profile {
   double hz = 0.0;
@@ -176,19 +177,35 @@ struct profile {
   std::vector<flight_snapshot> flight;
 };
 
+inline constexpr double default_hz = 97.0;
+
+// The monitor: one thread that runs while any of its three users is on.
+// Each tick (every 1/hz; default_hz unless profiling) it samples the slot
+// table if profiling is on, runs the watchdog's deadline scan if the
+// watchdog is armed, and every flight interval appends a kmon snapshot to
+// the flight ring if profiling or recording.
 class sampler {
  public:
   static sampler& instance() noexcept;
 
-  // Start sampling at `hz` (clamped to [1, 10000]) with a flight-recorder
-  // snapshot every `flight_interval`. Idempotent: a second start while
-  // running is a no-op, as is stop while stopped.
-  void start(double hz = 97.0,
+  // Profiling: sample at `hz` (clamped to [1, 10000]) and keep the flight
+  // ring every `flight_interval` (0: no ring). Idempotent: a second start
+  // while running is a no-op, as is stop while stopped.
+  void start(double hz = default_hz,
              std::chrono::milliseconds flight_interval = std::chrono::milliseconds(20));
   void stop();
   bool running() const noexcept;
 
-  // Aggregated profile so far (valid while running or after stop).
+  // The other two users. watch: every tick runs the watchdog's scan
+  // (watchdog::start/stop call it). record: keep the flight ring every
+  // `flight_interval` (0: no ring) for a metrics export's rates. The last
+  // interval set, here or by start, is the ring's.
+  void watch(bool on);
+  void record(bool on, std::chrono::milliseconds flight_interval = std::chrono::milliseconds(20));
+
+  // Aggregated profile and flight ring so far (valid while running or
+  // after stop). `ticks` counts profiling ticks and `duration_nanos` adds
+  // up their weights, across restarts, since the last reset.
   profile snapshot() const;
   // Drop accumulated samples and flight snapshots (between bench rounds).
   void reset();

@@ -69,8 +69,10 @@ void lock_order_validator::on_acquire(const void* lock, const lock_class& cls) {
   tl_held.push_back({lock, cls});
 }
 
+// Not gated on enabled(): a release retires what its acquire recorded even
+// if the validator was switched off in between, or the stale entry would
+// flag later acquisitions. With nothing recorded the search is empty.
 void lock_order_validator::on_release(const void* lock) {
-  if (!enabled()) return;
   for (auto it = tl_held.rbegin(); it != tl_held.rend(); ++it) {
     if (it->lock == lock) {
       tl_held.erase(std::next(it).base());

@@ -46,15 +46,13 @@ trace_session::trace_session() {
     kspan::enable();
     started_spans_ = true;
   }
+  // 0 turns the flight ring off, and with it the metrics export's rates.
+  const std::chrono::milliseconds flight(env_number("MACHLOCK_PROF_FLIGHT_MS", 20, 0));
   const char* metrics = std::getenv("MACHLOCK_METRICS");
   if (metrics != nullptr && metrics[0] != '\0') {
     metrics_path_ = metrics;
     kmon::enable();
-    const int interval_ms = env_number("MACHLOCK_METRICS_INTERVAL_MS", 200, 1);
-    if (!kmon::sampler::instance().running()) {
-      kmon::sampler::instance().start(std::chrono::milliseconds(interval_ms));
-      started_sampler_ = true;
-    }
+    kprof::sampler::instance().record(true, flight);
   }
   const char* prof = std::getenv("MACHLOCK_PROF");
   if (prof != nullptr && prof[0] != '\0' && !kprof::sampler::instance().running()) {
@@ -62,10 +60,8 @@ trace_session::trace_session() {
     // The flight recorder snapshots kmon counters; without the registry
     // enabled every snapshot would be zeros.
     kmon::enable();
-    const double hz = env_number("MACHLOCK_PROF_HZ", 97.0, 1.0);
-    // 0 turns the flight recorder off.
-    const int flight_ms = env_number("MACHLOCK_PROF_FLIGHT_MS", 20, 0);
-    kprof::sampler::instance().start(hz, std::chrono::milliseconds(flight_ms));
+    kprof::sampler::instance().start(env_number("MACHLOCK_PROF_HZ", kprof::default_hz, 1.0),
+                                     flight);
     started_prof_ = true;
   }
   if (env_flag("MACHLOCK_DEADLOCK")) {
@@ -104,7 +100,7 @@ trace_session::~trace_session() {
       std::fprintf(stderr, "kprof: FAILED to write %s\n", prof_path_.c_str());
     }
   }
-  if (started_sampler_) kmon::sampler::instance().stop();
+  if (!metrics_path_.empty()) kprof::sampler::instance().record(false);
   if (started_spans_) kspan::disable();
   if (active_) {
     ktrace::disable();
@@ -125,7 +121,12 @@ trace_session::~trace_session() {
     }
   }
   if (!metrics_path_.empty()) {
-    if (kmon::export_file(metrics_path_)) {
+    // Counter rates over the flight ring's span.
+    const std::vector<kmon::value_snapshot> ring = kprof::sampler::instance().snapshot().flight;
+    const std::vector<kmon::rate_sample> rates =
+        ring.empty() ? std::vector<kmon::rate_sample>{}
+                     : kmon::counter_rates(ring.front(), ring.back());
+    if (kmon::export_file(metrics_path_, &rates)) {
       std::fprintf(stderr, "kmon: wrote %zu metrics to %s\n",
                    kmon::registry::instance().live_metrics(), metrics_path_.c_str());
     } else {

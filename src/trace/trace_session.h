@@ -43,7 +43,6 @@ class trace_session {
   std::string metrics_path_;
   std::string prof_path_;
   bool started_prof_ = false;
-  bool started_sampler_ = false;
   bool started_watchdog_ = false;
   bool started_spans_ = false;
   bool report_deadlock_ = false;

@@ -208,6 +208,22 @@ TEST_F(validator_fixture, DifferentSubsystemsAreIndependent) {
   v.on_release(&obj_lock);
 }
 
+// A hold recorded while the validator was on is retired by its release even
+// when the validator is off by then, so it cannot flag a later acquisition.
+TEST_F(validator_fixture, ReleaseWhileDisabledRetiresTheHold) {
+  constexpr lock_class hi_class{"vmtest", "hi", 2};
+  constexpr lock_class lo_class{"vmtest", "lo", 1};
+  int hi_lock = 0, lo_lock = 0;
+  auto& v = lock_order_validator::instance();
+  v.on_acquire(&hi_lock, hi_class);
+  v.set_enabled(false);
+  v.on_release(&hi_lock);
+  v.set_enabled(true);
+  v.on_acquire(&lo_lock, lo_class);
+  EXPECT_TRUE(v.take_violations().empty());
+  v.on_release(&lo_lock);
+}
+
 TEST_F(validator_fixture, PanicModeEscalates) {
   testing::panic_hook_scope hook;
   auto& v = lock_order_validator::instance();

@@ -13,8 +13,10 @@
 #include <string>
 #include <thread>
 
+#include "base/stats.h"
 #include "harness/mini_json.h"
 #include "metrics/kmon.h"
+#include "metrics/watchdog.h"
 #include "prof/kprof.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
@@ -133,6 +135,40 @@ TEST_F(kprof_fixture, SamplerStartStopIsIdempotentAndRestartable) {
   EXPECT_GT(p.duration_nanos, 0u);
   s.reset();
   EXPECT_EQ(s.snapshot().ticks, 0u);
+}
+
+// duration_nanos adds up the weights of the ticks it counts, so it agrees
+// with `ticks`: each tick weighs at least one period (1 ms here), and the
+// first after a start or reset weighs only the time since.
+TEST_F(kprof_fixture, DurationRestartsAtResetWhileRunning) {
+  kprof::sampler& s = kprof::sampler::instance();
+  s.start(1000.0, 0ms);
+  std::this_thread::sleep_for(80ms);
+  const std::uint64_t reset_at = now_nanos();
+  s.reset();
+  std::this_thread::sleep_for(30ms);
+  s.stop();
+  const std::uint64_t since_reset = now_nanos() - reset_at;
+  const kprof::profile p = s.snapshot();
+  ASSERT_GT(p.ticks, 0u);
+  EXPECT_LE(p.duration_nanos, since_reset);
+  EXPECT_GE(p.duration_nanos, (p.ticks - 1) * 1'000'000);
+}
+
+TEST_F(kprof_fixture, DurationKeepsAddingAcrossARestart) {
+  kprof::sampler& s = kprof::sampler::instance();
+  const std::uint64_t first_start = now_nanos();
+  s.start(1000.0, 0ms);
+  std::this_thread::sleep_for(30ms);
+  s.stop();
+  s.start(1000.0, 0ms);
+  std::this_thread::sleep_for(30ms);
+  s.stop();
+  const std::uint64_t elapsed = now_nanos() - first_start;
+  const kprof::profile p = s.snapshot();
+  ASSERT_GT(p.ticks, 1u);
+  EXPECT_LE(p.duration_nanos, elapsed);
+  EXPECT_GE(p.duration_nanos, (p.ticks - 2) * 1'000'000);
 }
 
 TEST_F(kprof_fixture, ZeroSampleSnapshotExportsValidJson) {
@@ -280,6 +316,43 @@ TEST_F(kprof_fixture, TraceSessionFlightMsZeroDisablesTheFlightRing) {
   unsetenv("MACHLOCK_PROF");
   unsetenv("MACHLOCK_PROF_FLIGHT_MS");
   std::remove(path.c_str());
+}
+
+// One trace_session with a metrics export, the watchdog and the profiler
+// shares one monitor thread; tearing the session down stops it, and the
+// export carries counter rates read off the flight ring.
+TEST_F(kprof_fixture, TraceSessionSharesOneMonitorAndExportsRates) {
+  const std::string metrics = ::testing::TempDir() + "kprof_session_metrics.json";
+  const std::string prof = ::testing::TempDir() + "kprof_session_prof.json";
+  setenv("MACHLOCK_METRICS", metrics.c_str(), 1);
+  setenv("MACHLOCK_WATCHDOG", "1", 1);
+  setenv("MACHLOCK_PROF", prof.c_str(), 1);
+  {
+    const trace_session session;
+    EXPECT_TRUE(kprof::sampler::instance().running());
+    EXPECT_TRUE(watchdog::instance().running());
+    std::this_thread::sleep_for(100ms);
+  }
+  unsetenv("MACHLOCK_METRICS");
+  unsetenv("MACHLOCK_WATCHDOG");
+  unsetenv("MACHLOCK_PROF");
+  EXPECT_FALSE(kprof::sampler::instance().running());
+  EXPECT_FALSE(watchdog::instance().running());
+
+  mini_json::value doc;
+  std::string err;
+  ASSERT_TRUE(mini_json::parse_file(metrics, &doc, &err)) << err;
+  ASSERT_TRUE(doc.is(mini_json::value::kind::array));
+  std::size_t counters = 0;
+  for (const mini_json::value& m : doc.arr) {
+    const mini_json::value* kind = m.find("kind");
+    if (kind == nullptr || kind->str != "counter") continue;
+    ++counters;
+    EXPECT_NE(m.find("rate_per_sec"), nullptr) << m.find("name")->str;
+  }
+  EXPECT_GT(counters, 0u);
+  std::remove(metrics.c_str());
+  std::remove(prof.c_str());
 }
 
 }  // namespace

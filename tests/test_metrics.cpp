@@ -1,7 +1,7 @@
 // Tests for the kmon metrics registry (src/metrics): metric types, the
 // disabled fast path, the registry snapshot, both exporters (validated by
-// in-file mini-parsers), the delta-rate sampler, and the bench_json
-// machine-readable table dump.
+// in-file mini-parsers), counter rates off the flight ring, and the
+// bench_json machine-readable table dump.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "harness/table.h"
 #include "metrics/kmetrics.h"
 #include "metrics/kmon.h"
+#include "prof/kprof.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
 
@@ -329,7 +330,7 @@ TEST(KmonExport, PrometheusEscapesHostileLabelValues) {
   }
 
   // The registry print_top path uses the same escaping for its key; the
-  // rate-key path in the sampler does too (prom_sample_name). A labelled
+  // flight ring's value keys do too (prom_sample_name). A labelled
   // live metric with a hostile value must round-trip the registry
   // snapshot unharmed (escaping happens at render time, not storage).
   kmon::callback_gauge g("machlock_test_hostile_live", "test", [] { return 2.0; }, "zone",
@@ -398,27 +399,29 @@ TEST(KmonExport, FileWriterPicksFormatFromExtension) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler.
+// Rates off the flight ring, which the monitor thread keeps while a metrics
+// export records (prof/kprof.h).
 
 TEST(KmonSampler, ComputesPositiveRateForBusyCounter) {
   kmon_scope scope;
-  kmon::sampler& s = kmon::sampler::instance();
-  ASSERT_FALSE(s.running());
-  s.start(20ms);
-  EXPECT_TRUE(s.running());
+  kprof::sampler& s = kprof::sampler::instance();
+  s.reset();
+  s.record(true, 20ms);
   const auto deadline = std::chrono::steady_clock::now() + 3s;
   double rate = 0.0;
   while (std::chrono::steady_clock::now() < deadline) {
     kmet().sched_wakeups_no_waiter.inc(100);
     std::this_thread::sleep_for(5ms);
-    for (const auto& r : s.rates()) {
+    const std::vector<kmon::value_snapshot> ring = s.snapshot().flight;
+    if (ring.size() < 2) continue;
+    for (const auto& r : kmon::counter_rates(ring.front(), ring.back())) {
       if (r.name == "machlock_sched_wakeups_no_waiter_total" && r.per_second > 0.0)
         rate = r.per_second;
     }
     if (rate > 0.0) break;
   }
-  s.stop();
-  EXPECT_FALSE(s.running());
+  s.record(false);
+  s.reset();
   EXPECT_GT(rate, 0.0);
 }
 

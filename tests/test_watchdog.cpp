@@ -72,10 +72,9 @@ class trip_collector {
 
 // The ISSUE acceptance scenario: one thread wedges holding a simple lock,
 // another spins on it; the watchdog must trip within the spin deadline
-// (plus poll and scheduling slack) and name the held lock.
+// (plus one monitor tick and scheduling slack) and name the held lock.
 TEST(Watchdog, TripsOnWedgedSimpleLockAndNamesIt) {
   watchdog_config cfg;
-  cfg.poll = 5ms;
   cfg.spin_deadline = 50ms;
   cfg.block_deadline = 10s;   // keep other classes quiet
   cfg.writer_deadline = 10s;
@@ -99,7 +98,7 @@ TEST(Watchdog, TripsOnWedgedSimpleLockAndNamesIt) {
     simple_unlock(&wedge);
   });
 
-  // Deadline 50ms + poll 5ms; allow generous scheduler slack but still
+  // Deadline 50ms + one ~10ms tick; allow generous scheduler slack but still
   // assert the trip arrived well before an un-watched spin would.
   const std::string report = trips.wait_for_trip(2000ms);
   const auto elapsed = std::chrono::steady_clock::now() - spin_start;
@@ -121,7 +120,6 @@ TEST(Watchdog, TripsOnWedgedSimpleLockAndNamesIt) {
 
 TEST(Watchdog, TripsOnThreadBlockedPastDeadline) {
   watchdog_config cfg;
-  cfg.poll = 5ms;
   cfg.spin_deadline = 10s;
   cfg.block_deadline = 50ms;
   cfg.writer_deadline = 10s;
@@ -153,7 +151,6 @@ TEST(Watchdog, TripsOnStarvedWriter) {
   for (const bool upgrade : {false, true}) {
     SCOPED_TRACE(upgrade ? "lock_read_to_write" : "lock_write");
     watchdog_config cfg;
-    cfg.poll = 5ms;
     cfg.spin_deadline = 10s;
     cfg.block_deadline = 10s;
     cfg.writer_deadline = 50ms;
@@ -194,7 +191,6 @@ TEST(Watchdog, TripsOnStarvedWriter) {
 
 TEST(Watchdog, HealthyContentionDoesNotTrip) {
   watchdog_config cfg;
-  cfg.poll = 5ms;
   cfg.spin_deadline = 500ms;
   cfg.block_deadline = 2s;
   cfg.writer_deadline = 1s;
@@ -218,13 +214,12 @@ TEST(Watchdog, HealthyContentionDoesNotTrip) {
   }
   for (auto& t : threads) t->join();
   thread_wakeup(&ev);
-  std::this_thread::sleep_for(30ms);  // a few poll periods
+  std::this_thread::sleep_for(30ms);  // a few monitor ticks
   EXPECT_EQ(trips.trips(), 0u);
 }
 
 TEST(Watchdog, StartStopIsIdempotentAndRestartable) {
   watchdog_config cfg;
-  cfg.poll = 5ms;
   trip_collector first(cfg);
   EXPECT_TRUE(watchdog::instance().running());
   watchdog::instance().start(cfg);  // second start is a no-op
@@ -237,12 +232,67 @@ TEST(Watchdog, StartStopIsIdempotentAndRestartable) {
   watchdog::instance().stop();
 }
 
+// The watchdog and the profiler share the monitor thread: a profile
+// started and stopped while the watchdog is armed leaves the scan running.
+TEST(Watchdog, StillTripsAfterTheSamplerStops) {
+  watchdog_config cfg;
+  cfg.spin_deadline = 50ms;
+  cfg.block_deadline = 10s;
+  cfg.writer_deadline = 10s;
+  trip_collector trips(cfg);
+  kprof::sampler::instance().start(500.0, 0ms);
+  std::this_thread::sleep_for(20ms);
+  kprof::sampler::instance().stop();
+  kprof::sampler::instance().reset();
+
+  simple_lock_data_t wedge;
+  simple_lock_init(&wedge, "shared-monitor-wedge");
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  auto holder = kthread::spawn("shared-wedge-holder", [&] {
+    simple_lock(&wedge);
+    held.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    simple_unlock(&wedge);
+  });
+  while (!held.load()) std::this_thread::yield();
+  auto spinner = kthread::spawn("shared-wedge-spinner", [&] {
+    simple_lock(&wedge);
+    simple_unlock(&wedge);
+  });
+
+  const std::string report = trips.wait_for_trip(2000ms);
+  EXPECT_NE(report.find("shared-monitor-wedge"), std::string::npos)
+      << "no trip once the sampler stopped";
+  release.store(true);
+  holder->join();
+  spinner->join();
+}
+
+// ...and a watchdog armed and disarmed while profiling leaves the sampler
+// ticking.
+TEST(Watchdog, SamplerKeepsTickingAfterTheWatchdogStops) {
+  kprof::sampler& s = kprof::sampler::instance();
+  s.reset();
+  s.start(500.0, 0ms);
+  {
+    const trip_collector trips(watchdog_config{});
+    std::this_thread::sleep_for(20ms);
+  }
+  EXPECT_FALSE(watchdog::instance().running());
+  const std::uint64_t before = s.snapshot().ticks;
+  std::this_thread::sleep_for(50ms);
+  EXPECT_TRUE(s.running());
+  EXPECT_GT(s.snapshot().ticks, before);
+  s.stop();
+  s.reset();
+}
+
 // A stall inside an active kspan request names the request in the trip
 // report, so the operator can join the trip against the exported trace.
 TEST(Watchdog, TripReportNamesTheStalledRequestSpan) {
   kspan::enable();
   watchdog_config cfg;
-  cfg.poll = 5ms;
   cfg.spin_deadline = 50ms;
   cfg.block_deadline = 10s;
   cfg.writer_deadline = 10s;
@@ -281,21 +331,17 @@ TEST(Watchdog, TripReportNamesTheStalledRequestSpan) {
 }
 
 TEST(Watchdog, ConfigFromEnvReadsOverrides) {
-  setenv("MACHLOCK_WATCHDOG_POLL_MS", "7", 1);
   setenv("MACHLOCK_WATCHDOG_SPIN_MS", "123", 1);
   setenv("MACHLOCK_WATCHDOG_PANIC", "1", 1);
   setenv("MACHLOCK_WATCHDOG_BLOCK_MS", "5s", 1);  // malformed: the default stays
   watchdog_config cfg = watchdog_config_from_env();
-  EXPECT_EQ(cfg.poll, 7ms);
   EXPECT_EQ(cfg.spin_deadline, 123ms);
   EXPECT_EQ(cfg.block_deadline, 2000ms);
   EXPECT_TRUE(cfg.panic_on_trip);
-  unsetenv("MACHLOCK_WATCHDOG_POLL_MS");
   unsetenv("MACHLOCK_WATCHDOG_SPIN_MS");
   unsetenv("MACHLOCK_WATCHDOG_PANIC");
   unsetenv("MACHLOCK_WATCHDOG_BLOCK_MS");
   cfg = watchdog_config_from_env();
-  EXPECT_EQ(cfg.poll, 10ms);
   EXPECT_EQ(cfg.spin_deadline, 250ms);
   EXPECT_FALSE(cfg.panic_on_trip);
 }
@@ -337,7 +383,6 @@ void contend_once(kprof::activity waiting, const std::function<void()>& hold,
 // ktrace holds exactly one wait span per contended acquisition.
 TEST(LockProbe, EverySubscriberOnLeavesNothingBehind) {
   watchdog_config cfg;
-  cfg.poll = 5ms;
   cfg.spin_deadline = 200ms;
   cfg.block_deadline = 200ms;
   cfg.writer_deadline = 200ms;
