@@ -19,6 +19,7 @@
 #include "ipc/stubs.h"
 #include "kern/object.h"
 #include "sched/event.h"
+#include "sched/kthread.h"
 #include "sync/complex_lock.h"
 #include "sync/simple_lock.h"
 
@@ -126,6 +127,29 @@ void BM_PortSendReceive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PortSendReceive);
+
+// Cross-thread handoff: this thread sends on `ping` and blocks receiving on
+// `pong`; an echo kthread does the reverse. One iteration is a round trip
+// of two sends and two blocking receives, so the row prices the port's
+// wakeup path (waiter count, event bucket, sleep and wake) that a served
+// request crosses twice. Real time: the echo thread's half is not this
+// thread's CPU time.
+void BM_PortHandoff(benchmark::State& state) {
+  auto ping = make_object<port>("bm-ping");
+  auto pong = make_object<port>("bm-pong");
+  auto echo = kthread::spawn("bm-echo", [&] {
+    while (std::optional<message> m = ping->receive()) {
+      if (pong->send(std::move(*m)) != KERN_SUCCESS) break;
+    }
+  });
+  for (auto _ : state) {
+    ping->send(message(1));
+    benchmark::DoNotOptimize(pong->receive());
+  }
+  ping->destroy_port();
+  echo->join();
+}
+BENCHMARK(BM_PortHandoff)->UseRealTime();
 
 void BM_MsgRpcCounterAdd(benchmark::State& state) {
   ipc_space space;

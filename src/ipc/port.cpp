@@ -47,6 +47,17 @@ const char* to_string(kern_return_t kr) noexcept {
   return "KERN_?";
 }
 
+message_body::value_type* message_body::grow(size_type need) {
+  MACH_ASSERT(need <= UINT32_MAX, "message body longer than 2^32 words");
+  const size_type cap = std::clamp<size_type>(2 * static_cast<size_type>(cap_), need, UINT32_MAX);
+  auto* block = new value_type[cap];
+  if (size_ != 0) std::memcpy(block, data(), size_ * sizeof(value_type));
+  free_heap();
+  heap_ = block;
+  cap_ = static_cast<std::uint32_t>(cap);
+  return block;
+}
+
 port::port(const char* name) : kobject(name) {}
 
 port::~port() = default;
@@ -101,10 +112,11 @@ kern_return_t port::send(message m) {
   }
   if (kspan::enabled()) [[unlikely]] span_stamp_send(m, *this);
   queue_.push_back(std::move(m));
+  const bool wake = waiters_ != 0;
   unlock();
   sends_ok_.fetch_add(1, std::memory_order_relaxed);
   kmet().ipc_messages.inc();
-  thread_wakeup_one(&queue_);
+  if (wake) thread_wakeup_one(&queue_);
   return KERN_SUCCESS;
 }
 
@@ -124,24 +136,29 @@ std::optional<message> port::receive(std::chrono::milliseconds timeout) {
       return std::nullopt;
     }
     // assert_wait-then-unlock: atomic with respect to send()'s wakeup.
+    // Counting ourselves in the same hold makes every send from here on
+    // issue that wakeup.
+    ++waiters_;
     assert_wait(&queue_);
     unlock();
     wait_result r = bounded ? thread_block_timeout(timeout) : thread_block();
+    lock();
+    --waiters_;
     if (r == wait_result::timed_out) {
       // A send can land between the timeout firing and this return: the
       // sender's thread_wakeup_one finds no waiter (we already left the
       // wait queue), so nothing re-delivers the message until the next
       // receive — for a single-receiver pattern (an RPC reply port) that
       // message would be silently delayed and mis-delivered to the NEXT
-      // call. Re-take the lock and drain once before giving up.
-      lock();
+      // call. Drain once before giving up.
       if (!queue_.empty()) {
         message m = std::move(queue_.front());
         queue_.pop_front();
         // If more messages slipped in, their wakeups may also have been
         // consumed against no waiter; re-signal so a blocked receiver
-        // (if any) picks them up instead of stranding them.
-        bool more = !queue_.empty();
+        // (if any is still counted) picks them up instead of stranding
+        // them.
+        const bool more = !queue_.empty() && waiters_ != 0;
         unlock();
         if (more) thread_wakeup_one(&queue_);
         span_note_recv(m, *this);
@@ -150,7 +167,6 @@ std::optional<message> port::receive(std::chrono::milliseconds timeout) {
       unlock();
       return std::nullopt;
     }
-    lock();
   }
 }
 

@@ -61,6 +61,11 @@ class port final : public kobject {
  private:
   std::deque<message> queue_;
   std::size_t queue_limit_ = 1024;
+  // Receivers that asserted a wait on queue_ and have not yet re-taken the
+  // port lock, woken or timed out. Guarded by the port lock. A send that
+  // finds it zero skips thread_wakeup_one: any later receiver checks the
+  // queue under the lock before it waits.
+  std::uint32_t waiters_ = 0;
   ref_ptr<kobject> translation_;
   std::atomic<std::uint64_t> sends_ok_{0};
   std::atomic<std::uint64_t> sends_failed_{0};

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "base/panic.h"
+#include "base/stats.h"
 #include "metrics/kmetrics.h"
 #include "sync/lock_probe.h"
 #include "trace/kspan.h"
@@ -31,10 +32,11 @@ event_bucket& bucket_for(event_t e) {
   return table[std::hash<const void*>{}(e) & (num_buckets - 1)];
 }
 
-std::atomic<std::uint64_t> g_blocks_suspended{0};
-std::atomic<std::uint64_t> g_blocks_short_circuited{0};
-std::atomic<std::uint64_t> g_wakeups_delivered{0};
-std::atomic<std::uint64_t> g_wakeups_no_waiter{0};
+// One cache line each: they are bumped from every CPU's wait and wakeup.
+event_counter g_blocks_suspended;
+event_counter g_blocks_short_circuited;
+event_counter g_wakeups_delivered;
+event_counter g_wakeups_no_waiter;
 
 }  // namespace
 
@@ -116,11 +118,11 @@ struct event_system {
     };
     if (t.wakeup_pending_) {
       // Event occurred between assert_wait and here: non-blocking switch.
-      g_blocks_short_circuited.fetch_add(1, std::memory_order_relaxed);
+      g_blocks_short_circuited.add();
       kmet().sched_blocks_short_circuited.inc();
       return traced(consume_locked(t));
     }
-    g_blocks_suspended.fetch_add(1, std::memory_order_relaxed);
+    g_blocks_suspended.add();
     kmet().sched_blocks.inc();
     const event_t e = t.wait_event_;
     const wait_note note = lock_probe::block(e);
@@ -201,11 +203,11 @@ struct event_system {
     ktrace::emit(trace_kind::thread_wakeup_ev, nullptr, reinterpret_cast<std::uint64_t>(e),
                  woken);
     if (woken == 0) {
-      g_wakeups_no_waiter.fetch_add(1, std::memory_order_relaxed);
+      g_wakeups_no_waiter.add();
       kmet().sched_wakeups_no_waiter.inc();
       return;
     }
-    g_wakeups_delivered.fetch_add(woken, std::memory_order_relaxed);
+    g_wakeups_delivered.add(woken);
     kmet().sched_wakeups.inc(woken);
     kmet().sched_wait_queue_depth.sub(static_cast<std::int64_t>(woken));
     deliver(first, wait_result::awakened);
@@ -266,17 +268,15 @@ wait_result thread_sleep(event_t event, simple_lock_data_t* lock) {
 }
 
 event_system_counters event_counters() noexcept {
-  return {g_blocks_suspended.load(std::memory_order_relaxed),
-          g_blocks_short_circuited.load(std::memory_order_relaxed),
-          g_wakeups_delivered.load(std::memory_order_relaxed),
-          g_wakeups_no_waiter.load(std::memory_order_relaxed)};
+  return {g_blocks_suspended.value(), g_blocks_short_circuited.value(),
+          g_wakeups_delivered.value(), g_wakeups_no_waiter.value()};
 }
 
 void reset_event_counters() noexcept {
-  g_blocks_suspended.store(0, std::memory_order_relaxed);
-  g_blocks_short_circuited.store(0, std::memory_order_relaxed);
-  g_wakeups_delivered.store(0, std::memory_order_relaxed);
-  g_wakeups_no_waiter.store(0, std::memory_order_relaxed);
+  g_blocks_suspended.reset();
+  g_blocks_short_circuited.reset();
+  g_wakeups_delivered.reset();
+  g_wakeups_no_waiter.reset();
 }
 
 }  // namespace mach

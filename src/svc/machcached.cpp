@@ -193,7 +193,7 @@ bool mc_cache::check_quiesced(std::string* why) const {
 // --- machcached_server ---
 
 machcached_server::machcached_server(mc_cache& cache, const machcached_config& cfg)
-    : cache_(cache), cfg_(cfg) {
+    : cache_(cache), cfg_(cfg), served_(static_cast<std::size_t>(std::max(cfg.workers, 1))) {
   MACH_ASSERT(cfg_.workers >= 1, "machcached_server needs at least one worker");
   service_ = make_object<port>("mc-service");
   service_->set_queue_limit(cfg_.queue_limit);
@@ -213,6 +213,12 @@ void machcached_server::stop() {
   service_->destroy_port();
   for (auto& w : workers_) w->join();
   workers_.clear();
+}
+
+std::uint64_t machcached_server::served() const {
+  std::uint64_t n = 0;
+  for (const event_counter& c : served_) n += c.value();
+  return n;
 }
 
 void machcached_server::worker_loop(int idx) {
@@ -265,7 +271,7 @@ void machcached_server::worker_loop(int idx) {
           break;
       }
     }
-    served_.fetch_add(1, std::memory_order_relaxed);
+    served_[static_cast<std::size_t>(idx)].add();
     kmet().svc_requests.inc();
     if (start != 0) kmet().svc_serve_nanos.record(now_nanos() - start);
     if (req->reply_to) {

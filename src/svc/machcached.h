@@ -167,7 +167,7 @@ class machcached_server {
   // Destroy the service port (senders observe KERN_TERMINATED, blocked
   // workers wake and retire) and join the workers. Idempotent.
   void stop();
-  std::uint64_t served() const { return served_.load(std::memory_order_relaxed); }
+  std::uint64_t served() const;
   int workers() const noexcept { return cfg_.workers; }
 
  private:
@@ -176,7 +176,9 @@ class machcached_server {
   mc_cache& cache_;
   machcached_config cfg_;
   ref_ptr<port> service_;
-  std::atomic<std::uint64_t> served_{0};
+  // Requests served, one padded count per worker so the workers never
+  // share a line for it; served() sums them.
+  std::vector<event_counter> served_;
   std::vector<std::unique_ptr<kthread>> workers_;
 };
 

@@ -1,8 +1,10 @@
 // Tests for ports (messaging + translation) and IPC spaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <vector>
 
 #include "ipc/port.h"
 #include "ipc/space.h"
@@ -288,6 +290,256 @@ TEST(PortRace, DestroyVsConcurrentSendNeverStrandsMessages) {
   }
   EXPECT_EQ(stranded, 0) << "messages stranded in dead ports";
   EXPECT_EQ(leaked, 0u) << "carried rights leaked through teardown";
+}
+
+// --- the waiter count: send wakes only a registered receiver ---
+
+TEST(PortWaiters, SendWithNoBlockedReceiverIssuesNoWakeup) {
+  auto p = make_object<port>();
+  // A receiver that timed out is no longer registered.
+  EXPECT_FALSE(p->receive(1ms).has_value());
+  const event_system_counters before = event_counters();
+  for (std::uint32_t i = 0; i < 100; ++i) ASSERT_EQ(p->send(message(i)), KERN_SUCCESS);
+  for (std::uint32_t i = 0; i < 100; ++i) ASSERT_TRUE(p->receive(1s).has_value());
+  const event_system_counters after = event_counters();
+  EXPECT_EQ(after.wakeups_no_waiter, before.wakeups_no_waiter);
+  EXPECT_EQ(after.wakeups_delivered, before.wakeups_delivered);
+}
+
+TEST(PortWaiters, SendWakesABlockedReceiver) {
+  auto p = make_object<port>();
+  const std::uint64_t blocked_before = event_counters().blocks_suspended;
+  std::atomic<bool> got{false};
+  auto rx = kthread::spawn("rx", [&] {
+    auto r = p->receive(10s);
+    got.store(r.has_value() && r->op == 5);
+  });
+  while (event_counters().blocks_suspended == blocked_before) std::this_thread::yield();
+  const std::uint64_t delivered_before = event_counters().wakeups_delivered;
+  ASSERT_EQ(p->send(message(5)), KERN_SUCCESS);
+  rx->join();
+  EXPECT_TRUE(got.load());
+  EXPECT_EQ(event_counters().wakeups_delivered, delivered_before + 1);
+  // The woken receiver unregistered: the next send wakes nobody.
+  const std::uint64_t no_waiter_before = event_counters().wakeups_no_waiter;
+  ASSERT_EQ(p->send(message(6)), KERN_SUCCESS);
+  EXPECT_EQ(event_counters().wakeups_no_waiter, no_waiter_before);
+}
+
+TEST(PortWaiters, TimedReceiversRacingSendersConserveMessages) {
+  // Two receivers on 1 ms timeouts time out, re-register and wake while
+  // two senders decide from the waiter count whether to wake anyone.
+  // Every message must arrive exactly once and none may be left queued.
+  constexpr int senders = 2;
+  constexpr std::uint64_t per_sender = 20000;
+  constexpr std::uint64_t total = senders * per_sender;
+  auto p = make_object<port>();
+  p->set_queue_limit(total);
+  std::atomic<std::uint64_t> received{0};
+  std::vector<std::uint64_t> seen[2];
+  std::vector<std::unique_ptr<kthread>> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.push_back(kthread::spawn("rx" + std::to_string(r), [&, r] {
+      while (received.load() < total) {
+        auto m = p->receive(1ms);
+        if (!m.has_value()) continue;
+        seen[r].push_back(m->data[0]);
+        received.fetch_add(1);
+      }
+    }));
+  }
+  for (int s = 0; s < senders; ++s) {
+    threads.push_back(kthread::spawn("tx" + std::to_string(s), [&, s] {
+      for (std::uint64_t i = 0; i < per_sender; ++i) {
+        ASSERT_EQ(p->send(message(1, {static_cast<std::uint64_t>(s) * per_sender + i})),
+                  KERN_SUCCESS);
+        if (i % 64 == 0) std::this_thread::yield();  // let receivers drain and block
+      }
+    }));
+  }
+  for (auto& t : threads) t->join();
+  std::vector<std::uint64_t> all(seen[0]);
+  all.insert(all.end(), seen[1].begin(), seen[1].end());
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), total);
+  for (std::uint64_t i = 0; i < total; ++i) ASSERT_EQ(all[i], i) << "lost or duplicated";
+  EXPECT_EQ(p->queued(), 0u);
+  EXPECT_EQ(p->sends_ok(), total);
+}
+
+TEST(PortWaiters, PipelinedRequestsNeverWaitOutATimeout) {
+  // machcached's shape with long timeouts: one client keeps a window of
+  // requests in flight to two workers and collects the replies on its own
+  // port. Every send that skipped its wakeup must have had no receiver
+  // to wake, so no receive may ever sit out its timeout while traffic
+  // flows.
+  constexpr int window = 16;
+  constexpr int requests = 50000;
+  auto service = make_object<port>("svc");
+  auto reply = make_object<port>("reply");
+  std::atomic<int> timeouts{0};
+  std::vector<std::unique_ptr<kthread>> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.push_back(kthread::spawn("worker" + std::to_string(w), [&] {
+      for (;;) {
+        auto m = service->receive(2s);
+        if (!m.has_value()) {
+          service->lock();
+          const bool dead = !service->active();
+          service->unlock();
+          if (dead) return;
+          timeouts.fetch_add(1);
+          continue;
+        }
+        ASSERT_EQ(m->reply_to->send(message(m->op, std::move(m->data))), KERN_SUCCESS);
+      }
+    }));
+  }
+  int sent = 0;
+  int answered = 0;
+  while (answered < requests) {
+    while (sent < requests && sent - answered < window) {
+      message m(static_cast<std::uint32_t>(sent++));
+      m.reply_to = reply;
+      ASSERT_EQ(service->send(std::move(m)), KERN_SUCCESS);
+    }
+    if (!reply->receive(2s).has_value()) {
+      timeouts.fetch_add(1);
+      break;
+    }
+    ++answered;
+  }
+  service->destroy_port();
+  for (auto& w : workers) w->join();
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(reply->queued(), 0u);
+}
+
+TEST(PortWaiters, DestroyWakesEveryRegisteredReceiver) {
+  constexpr int n = 4;
+  auto p = make_object<port>();
+  const std::uint64_t blocked_before = event_counters().blocks_suspended;
+  std::atomic<int> woke_empty{0};
+  std::vector<std::unique_ptr<kthread>> rxs;
+  for (int i = 0; i < n; ++i) {
+    rxs.push_back(kthread::spawn("rx" + std::to_string(i), [&] {
+      if (!p->receive(30s).has_value()) woke_empty.fetch_add(1);
+    }));
+  }
+  while (event_counters().blocks_suspended < blocked_before + n) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  p->destroy_port();
+  for (auto& rx : rxs) rx->join();
+  EXPECT_EQ(woke_empty.load(), n);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s) << "a receiver waited out its timeout";
+}
+
+// --- message bodies: inline up to message_body::inline_words ---
+
+message_body words(std::uint64_t n, std::uint64_t base = 0) {
+  message_body b;
+  for (std::uint64_t i = 0; i < n; ++i) b.push_back(base + i);
+  return b;
+}
+
+TEST(MessageBody, InlineUpToTenWordsSpillsAtEleven) {
+  static_assert(message_body::inline_words == 10);
+  message_body b = words(10);
+  EXPECT_FALSE(b.spilled());
+  b.push_back(10);
+  EXPECT_TRUE(b.spilled());
+  EXPECT_EQ(b, words(11));
+
+  message_body r;
+  r.reserve(10);
+  EXPECT_FALSE(r.spilled());
+  r.reserve(11);
+  EXPECT_TRUE(r.spilled());
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(MessageBody, CopyMoveAndSelfAssignInlineAndHeap) {
+  for (std::uint64_t n : {0u, 3u, 10u, 11u, 40u}) {
+    SCOPED_TRACE(n);
+    const message_body src = words(n, 100);
+    const bool heap = n > message_body::inline_words;
+    ASSERT_EQ(src.spilled(), heap);
+
+    message_body copy(src);
+    EXPECT_EQ(copy, src);
+    if (heap) {
+      EXPECT_NE(copy.data(), src.data());
+    }
+
+    message_body assigned = words(25, 7);  // a heap body overwritten
+    assigned = src;
+    EXPECT_EQ(assigned, src);
+    message_body small = words(2, 7);  // an inline body overwritten
+    small = src;
+    EXPECT_EQ(small, src);
+
+    message_body moved(std::move(copy));
+    EXPECT_EQ(moved, src);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+    EXPECT_FALSE(copy.spilled());
+
+    message_body target = words(30);
+    target = std::move(moved);
+    EXPECT_EQ(target, src);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+
+    message_body& alias = target;
+    target = alias;
+    EXPECT_EQ(target, src);
+    target = std::move(alias);
+    EXPECT_EQ(target, src);
+
+    // A moved-from body is reusable.
+    moved.push_back(1);
+    EXPECT_EQ(moved, (std::vector<std::uint64_t>{1}));
+  }
+}
+
+TEST(MessageBody, VectorSurface) {
+  message_body b = {1, 2};
+  EXPECT_EQ(b, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_NE(b, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_NE(b, (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_NE(b, std::vector<std::uint64_t>{});
+
+  const std::vector<std::uint64_t> tail{7, 8, 9};
+  b.insert(b.end(), tail.begin(), tail.end());
+  EXPECT_EQ(b, (std::vector<std::uint64_t>{1, 2, 7, 8, 9}));
+  const std::uint64_t mid[2] = {5, 6};
+  b.insert(b.begin() + 2, mid, mid + 2);
+  EXPECT_EQ(b, (std::vector<std::uint64_t>{1, 2, 5, 6, 7, 8, 9}));
+
+  b.resize(12);  // grows past the inline words; new words are zero
+  EXPECT_TRUE(b.spilled());
+  EXPECT_EQ(b[6], 9u);
+  EXPECT_EQ(b[11], 0u);
+  b.resize(1);
+  EXPECT_EQ(b, (std::vector<std::uint64_t>{1}));
+  b[0] = 4;
+  EXPECT_EQ(*b.data(), 4u);
+
+  b = {3, 4, 5};  // brace assignment replaces the words
+  EXPECT_EQ(b, (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(message_body(std::vector<std::uint64_t>{3, 4, 5}), b);
+  EXPECT_EQ(message(1, std::vector<std::uint64_t>(12, 2)).data.size(), 12u);
+}
+
+TEST(MessageBody, HeapBodySurvivesThePort) {
+  auto p = make_object<port>();
+  ASSERT_EQ(p->send(message(3, words(64, 9))), KERN_SUCCESS);
+  ASSERT_EQ(p->send(message(4, {1, 2})), KERN_SUCCESS);
+  auto a = p->receive(1s);
+  auto b = p->receive(1s);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_TRUE(a->data.spilled());
+  EXPECT_EQ(a->data, words(64, 9));
+  EXPECT_FALSE(b->data.spilled());
+  EXPECT_EQ(b->data, (std::vector<std::uint64_t>{1, 2}));
 }
 
 // --- IPC space ---

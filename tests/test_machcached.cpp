@@ -145,6 +145,39 @@ TEST(McServer, ServesGetSetDelOverIpc) {
   server.stop();  // idempotent
 }
 
+TEST(McServer, SetRequestAndGetReplyStayInline) {
+  // machcached's largest messages, a SET request (key, stamp, 8 value
+  // words) and a GET hit reply (stamp, 8 value words), fit the inline
+  // body: serving them allocates no message storage.
+  mc_cache_config c = small_cache();
+  c.value_words = 8;
+  mc_cache cache(c);
+  machcached_server server(cache);
+  auto reply = make_object<port>("test-reply");
+
+  message set(MC_SET, {42, 1});
+  for (std::uint64_t i = 0; i < c.value_words; ++i) set.data.push_back(100 + i);
+  EXPECT_EQ(set.data.size(), 10u);
+  EXPECT_FALSE(set.data.spilled());
+  set.reply_to = reply;
+  ASSERT_EQ(server.service().send(std::move(set)), KERN_SUCCESS);
+  auto set_r = reply->receive(5s);
+  ASSERT_TRUE(set_r.has_value());
+  EXPECT_EQ(set_r->ret, KERN_SUCCESS);
+  EXPECT_FALSE(set_r->data.spilled());
+
+  message get(MC_GET, {42, 2});
+  get.reply_to = reply;
+  ASSERT_EQ(server.service().send(std::move(get)), KERN_SUCCESS);
+  auto get_r = reply->receive(5s);
+  ASSERT_TRUE(get_r.has_value());
+  EXPECT_EQ(get_r->ret, KERN_SUCCESS);
+  EXPECT_EQ(get_r->data,
+            (std::vector<std::uint64_t>{2, 100, 101, 102, 103, 104, 105, 106, 107}));
+  EXPECT_FALSE(get_r->data.spilled());
+  server.stop();
+}
+
 TEST(McLoad, ShortBurstConservesMessagesAndObjects) {
   const std::uint64_t live_before = kobject::live_objects();
   mc_load_spec spec;
