@@ -19,7 +19,11 @@
 
 namespace mach {
 
-class port final : public kobject {
+// Cache-line aligned, so a port shares no line with a heap neighbour: its
+// lock and reference count are the serve path's most contended words.
+// Unaligned, perfbench serve-read ran ~8% slower with the 96 B mc_items
+// on the same heap (4-vCPU x86-64).
+class alignas(64) port final : public kobject {
  public:
   explicit port(const char* name = "port");
   ~port() override;

@@ -11,8 +11,7 @@ std::atomic<std::uint64_t> g_live_objects{0};
 
 }  // namespace
 
-kobject::kobject(const char* type_name, refcount_policy ref_policy)
-    : lock_(type_name), ref_(ref_policy, 1), type_name_(type_name) {
+kobject::kobject(const char* type_name) : lock_(type_name), ref_(1), type_name_(type_name) {
   g_live_objects.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -20,7 +19,7 @@ kobject::~kobject() { g_live_objects.fetch_sub(1, std::memory_order_relaxed); }
 
 void kobject::ref_clone() {
   kmet().kern_ref_takes.inc();
-  // The policy asserts clone-from-dead and emits ref_take (with this
+  // The count asserts clone-from-dead and emits ref_take (with this
   // object's type as the trace name, carrying the active kspan context).
   ref_.acquire(type_name_);
 }

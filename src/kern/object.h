@@ -7,8 +7,9 @@
 //   * a reference guarantees only that the DATA STRUCTURE exists — "it is
 //     possible for an object to be terminated, but its data structure to
 //     remain while pointers to it exist";
-//   * cloning a reference locks the object and increments the count; it
-//     never blocks, so it is safe while holding other locks;
+//   * cloning a reference increments the count — the portion of the
+//     object that holds it, an atomic word; it never blocks, so it is safe
+//     while holding other locks;
 //   * releasing a reference may destroy the object, which may block —
 //     so it must not happen while any (tracked, non-sleep) lock is held,
 //     nor between assert_wait and thread_block;
@@ -29,11 +30,7 @@ namespace mach {
 
 class kobject {
  public:
-  // `ref_policy` selects the reference-count implementation (kern/
-  // refcount.h): atomic by default; long-lived objects shared across
-  // threads, such as processor sets and pager-backed memory objects, pass
-  // refcount_policy::striped.
-  explicit kobject(const char* type_name, refcount_policy ref_policy = refcount_policy::atomic);
+  explicit kobject(const char* type_name);
   virtual ~kobject();
   kobject(const kobject&) = delete;
   kobject& operator=(const kobject&) = delete;
@@ -49,11 +46,10 @@ class kobject {
   // Clone a reference the caller already (transitively) holds. Per the
   // paper, acquiring a reference requires locking the object "or the
   // portion containing its reference count"; kobject uses the
-  // portion-lock form (the policy-selected count in kern/refcount.h,
-  // atomic by default) so that cloning a back-pointer's reference while
-  // holding another object's lock can never invert a lock order — no
-  // policy's count lock is tracked or can block. (The three policies are
-  // compared head-to-head in E7.)
+  // portion-lock form (an atomic_refcount, kern/refcount.h) so that
+  // cloning a back-pointer's reference while holding another object's
+  // lock can never invert a lock order — the count takes no lock at all.
+  // (E7 compares it with the paper's locked count.)
   void ref_clone();
   // As ref_clone, for call sites already holding the object lock (kept to
   // express the paper's protocol at those sites; the count update itself
@@ -65,8 +61,6 @@ class kobject {
   void ref_release();
   // Racy snapshot for diagnostics/tests.
   int ref_count() const { return ref_.value(); }
-  // Which count policy this object was built with.
-  refcount_policy ref_policy() const { return ref_.policy(); }
 
   // --- deactivation (section 9) ---
   // Mark deactivated; idempotent; returns true if this call did it.
@@ -103,15 +97,13 @@ class kobject {
 
  private:
   mutable simple_lock_data_t lock_;
-  // The count, under the policy chosen at construction. Every policy keeps
-  // the paper's discipline observable (over-release and clone-from-dead
-  // panic identically); the atomic default makes get/put one atomic RMW.
-  // See kern/refcount.h for the policy catalogue.
-  krefcount ref_;
+  // One atomic RMW per get/put; over-release and clone-from-dead panic as
+  // the paper's locked count does (kern/refcount.h).
+  atomic_refcount ref_;
   bool active_ = true;
   const char* type_name_;
 };
-static_assert(sizeof(kobject) <= 128, "a kernel object is its lock, its count and a few words");
+static_assert(sizeof(kobject) <= 64, "a kernel object is its lock, its count and a few words");
 
 // Smart pointer managing one reference to a kobject subtype.
 template <typename T>

@@ -4,10 +4,7 @@
 
 namespace mach {
 
-// Processor sets live for the kernel's lifetime and every task/thread
-// operation clones their reference: the striped count keeps that traffic
-// on per-thread cache lines (kern/refcount.h).
-processor_set::processor_set(const char* name) : kobject(name, refcount_policy::striped) {}
+processor_set::processor_set(const char* name) : kobject(name) {}
 
 processor_set::~processor_set() = default;
 

@@ -72,13 +72,14 @@ struct kmetrics_t {
                                   "kobject references released"};
   kmon::counter kern_deactivations{"machlock_kern_deactivations_total",
                                    "kobject deactivations (sec. 9)"};
-  // Named for the slot word (sync/lockref.h); only striped_refcount
-  // counts here, so every other policy's ops leave both at zero.
+  // Nothing increments these two: the striped count they measured is
+  // gone. They stay only because perfbench's mcbench reads them, and
+  // retire with its kern.lockref_slow_pct metric in the benchmark change
+  // of ROADMAP item 1.
   kmon::counter kern_lockref_fast{"machlock_kern_lockref_fast_total",
-                                  "striped refcount slot ops completed by the cmpxchg fast path"};
-  kmon::counter kern_lockref_slow{
-      "machlock_kern_lockref_slow_total",
-      "striped refcount slot ops that took a slot lock (fallback or reconcile)"};
+                                  "unused, always zero (retired striped refcount fast path)"};
+  kmon::counter kern_lockref_slow{"machlock_kern_lockref_slow_total",
+                                  "unused, always zero (retired striped refcount slow path)"};
   kmon::callback_gauge kern_live_objects;  // kobject::live_objects() at snapshot
 
   // --- smp ---

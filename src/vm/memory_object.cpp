@@ -8,9 +8,7 @@ namespace mach {
 
 memory_object::memory_object(object_zone<vm_page>& pages, std::chrono::microseconds pager_latency,
                              const char* name)
-    // Pager-backed objects are long-lived and hot (every fault clones a
-    // reference): striped counters keep the get/put traffic off one line.
-    : kobject(name, refcount_policy::striped), pages_(pages), pager_latency_(pager_latency) {}
+    : kobject(name), pages_(pages), pager_latency_(pager_latency) {}
 
 memory_object::~memory_object() {
   // Whatever is still resident goes back to the zone (no locks needed: no

@@ -1,31 +1,29 @@
 // Tests for kernel objects: reference counting, deactivation, ref_ptr
-// (paper sections 8 and 9). The refcount policy suites run against every
-// policy in kern/refcount.h (locked / atomic / striped), and the
-// kobject/ref_ptr lifecycle suites are parameterized over the same set so
-// the object protocol is exercised through each count implementation.
+// (paper sections 8 and 9). The refcount suites run against both count
+// types in kern/refcount.h (the paper's locked count and the atomic count
+// every kobject holds); the kobject/ref_ptr lifecycle suites exercise the
+// object protocol through kobject's atomic count.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "kern/object.h"
 #include "kern/refcount.h"
-#include "metrics/kmetrics.h"
 #include "tests/test_util.h"
 #include "trace/ktrace.h"
 
 namespace mach {
 namespace {
 
-// --- refcount policies ---
+// --- refcount types ---
 
-template <typename Policy>
+template <typename Count>
 class RefcountPolicyTest : public ::testing::Test {};
 
-using Policies = ::testing::Types<locked_refcount, atomic_refcount, striped_refcount>;
-TYPED_TEST_SUITE(RefcountPolicyTest, Policies);
+using CountTypes = ::testing::Types<locked_refcount, atomic_refcount>;
+TYPED_TEST_SUITE(RefcountPolicyTest, CountTypes);
 
 TYPED_TEST(RefcountPolicyTest, StartsAtInitial) {
   TypeParam c(1);
@@ -73,65 +71,7 @@ TYPED_TEST(RefcountPolicyTest, ConcurrentCloneReleaseIsExact) {
   EXPECT_EQ(c.value(), 1);
 }
 
-// Cross-thread release: references acquired on one thread (slot) and
-// released on others must still produce exactly one release()==true —
-// the striped reconcile path, not the per-slot fast path.
-TEST(StripedRefcount, CrossThreadReleasesAreExact) {
-  striped_refcount c(1);
-  constexpr int extra = 64;
-  for (int i = 0; i < extra; ++i) c.acquire();  // all on this thread's slot
-  std::atomic<int> last_seen{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < extra / 4; ++i) {
-        if (c.release()) last_seen.fetch_add(1);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(last_seen.load(), 0);  // the creation reference survives
-  EXPECT_EQ(c.value(), 1);
-  EXPECT_TRUE(c.release());
-
-  // A fast path that meets a reconcile holding the slot locks falls back
-  // to its slot lock and stays exact. The releaser never acquires, so its
-  // slot is empty and each of its releases is a reconcile; the acquirer
-  // only acquires, so its ops leave the fast path only on a held slot.
-  // kern_lockref_slow counts both, so any surplus over the releases is a
-  // fallback. Rounds repeat until one is seen (or a deadline passes).
-  kmon::enable();
-  striped_refcount d(1);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  std::uint64_t fallbacks = 0;
-  while (fallbacks == 0 && std::chrono::steady_clock::now() < deadline) {
-    constexpr int round = 2000;
-    const std::uint64_t slow_before = kmet().kern_lockref_slow.value();
-    std::atomic<int> pool{0};  // acquired, not yet released
-    std::thread acquirer([&] {
-      for (int i = 0; i < round; ++i) {
-        d.acquire();
-        pool.fetch_add(1, std::memory_order_release);
-      }
-    });
-    std::thread releaser([&] {
-      for (int i = 0; i < round; ++i) {
-        while (pool.load(std::memory_order_acquire) == 0) std::this_thread::yield();
-        pool.fetch_sub(1, std::memory_order_relaxed);
-        EXPECT_FALSE(d.release());
-      }
-    });
-    acquirer.join();
-    releaser.join();
-    fallbacks = kmet().kern_lockref_slow.value() - slow_before - round;
-  }
-  kmon::disable();
-  EXPECT_GT(fallbacks, 0u) << "no fast path met a reconcile holding its slot lock";
-  EXPECT_EQ(d.value(), 1);
-  EXPECT_TRUE(d.release());
-}
-
-// --- trace regression (the locked policy's ordering guarantee) ---
+// --- trace regression (the locked count's ordering guarantee) ---
 //
 // locked_refcount::release once emitted its trace record AFTER dropping
 // the lock, with an inexact arg2 (`last ? 0 : 1`): a delayed non-final
@@ -202,40 +142,37 @@ TEST_F(refcount_trace_fixture, LockedDestroyRecordIsSequencedLast) {
   EXPECT_EQ(args.back(), 0u);
 }
 
-// Every policy, driven through kobject: destruction must emit exactly one
-// ref_release record with arg2 == 0 (the "destroyed" marker), and no
-// record for the object may follow it. (Records carry the count word's
-// address, which kobject does not expose; the per-iteration reset makes
-// this object's records the only ones in the rings.)
-TEST_F(refcount_trace_fixture, EveryPolicyEmitsDestroyMarkerExactlyOnce) {
-  for (refcount_policy p : kRefcountPolicies) {
-    ktrace::reset();
-    struct traced : kobject {
-      explicit traced(refcount_policy pol) : kobject("traced", pol) {}
-    };
-    ktrace::enable();
-    auto o = make_object<traced>(p);
-    o->ref_clone();
-    o->ref_release();
-    o.reset();  // destroys
-    ktrace::disable();
-    std::vector<std::uint64_t> args;
-    for (const auto& e : ktrace::collect().events) {
-      if (e.rec.kind == trace_kind::ref_release) args.push_back(e.rec.arg2);
-    }
-    ASSERT_GE(args.size(), 2u) << refcount_policy_name(p);
-    EXPECT_EQ(args.back(), 0u) << refcount_policy_name(p);
-    for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-      EXPECT_NE(args[i], 0u) << refcount_policy_name(p) << " record " << i;
-    }
+// Driven through kobject: destruction must emit exactly one ref_release
+// record with arg2 == 0 (the "destroyed" marker), and no record for the
+// object may follow it. (Records carry the count word's address, which
+// kobject does not expose; the reset makes this object's records the only
+// ones in the rings.)
+TEST_F(refcount_trace_fixture, KObjectEmitsDestroyMarkerExactlyOnce) {
+  struct traced : kobject {
+    traced() : kobject("traced") {}
+  };
+  ktrace::enable();
+  auto o = make_object<traced>();
+  o->ref_clone();
+  o->ref_release();
+  o.reset();  // destroys
+  ktrace::disable();
+  std::vector<std::uint64_t> args;
+  for (const auto& e : ktrace::collect().events) {
+    if (e.rec.kind == trace_kind::ref_release) args.push_back(e.rec.arg2);
+  }
+  ASSERT_GE(args.size(), 2u);
+  EXPECT_EQ(args.back(), 0u);
+  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
+    EXPECT_NE(args[i], 0u) << "record " << i;
   }
 }
 
-// --- kobject (parameterized over every count policy) ---
+// --- kobject ---
 
 struct test_object : kobject {
-  explicit test_object(refcount_policy p, std::atomic<int>* destroyed = nullptr)
-      : kobject("test-object", p), destroyed_flag(destroyed) {}
+  explicit test_object(std::atomic<int>* destroyed = nullptr)
+      : kobject("test-object"), destroyed_flag(destroyed) {}
   ~test_object() override {
     if (destroyed_flag != nullptr) destroyed_flag->fetch_add(1);
   }
@@ -243,25 +180,17 @@ struct test_object : kobject {
   int payload = 42;
 };
 
-class KObjectPolicy : public ::testing::TestWithParam<refcount_policy> {};
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, KObjectPolicy, ::testing::ValuesIn(kRefcountPolicies),
-                         [](const ::testing::TestParamInfo<refcount_policy>& info) {
-                           return refcount_policy_name(info.param);
-                         });
-
-TEST_P(KObjectPolicy, CreationReferenceAndDestruction) {
+TEST(KObject, CreationReferenceAndDestruction) {
   std::atomic<int> destroyed{0};
-  auto* o = new test_object(GetParam(), &destroyed);
-  EXPECT_EQ(o->ref_policy(), GetParam());
+  auto* o = new test_object(&destroyed);
   EXPECT_EQ(o->ref_count(), 1);
   o->ref_release();
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST_P(KObjectPolicy, CloneKeepsAlive) {
+TEST(KObject, CloneKeepsAlive) {
   std::atomic<int> destroyed{0};
-  auto* o = new test_object(GetParam(), &destroyed);
+  auto* o = new test_object(&destroyed);
   o->ref_clone();
   o->ref_release();
   EXPECT_EQ(destroyed.load(), 0);
@@ -269,9 +198,9 @@ TEST_P(KObjectPolicy, CloneKeepsAlive) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST_P(KObjectPolicy, CloneLockedRequiresLock) {
+TEST(KObject, CloneLockedRequiresLock) {
   testing::panic_hook_scope hook;
-  auto* o = new test_object(GetParam());
+  auto* o = new test_object();
   EXPECT_THROW(o->ref_clone_locked(), panic_error);
   o->lock();
   o->ref_clone_locked();
@@ -280,9 +209,9 @@ TEST_P(KObjectPolicy, CloneLockedRequiresLock) {
   o->ref_release();
 }
 
-TEST_P(KObjectPolicy, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
+TEST(KObject, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
   testing::panic_hook_scope hook;
-  auto* o = new test_object(GetParam());
+  auto* o = new test_object();
   o->ref_clone();
   simple_lock_data_t l;
   simple_lock_init(&l, "held");
@@ -298,8 +227,8 @@ TEST_P(KObjectPolicy, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
   delete o;
 }
 
-TEST_P(KObjectPolicy, DeactivationProtocol) {
-  auto o = make_object<test_object>(GetParam());
+TEST(KObject, DeactivationProtocol) {
+  auto o = make_object<test_object>();
   o->lock();
   EXPECT_TRUE(o->active());
   o->unlock();
@@ -313,11 +242,11 @@ TEST_P(KObjectPolicy, DeactivationProtocol) {
 }
 
 // Sticky references (section 8): a deactivated object's count keeps
-// working — clones of still-held references succeed on every policy, and
+// working — clones of still-held references succeed, and
 // destruction happens only when the count reaches zero.
-TEST_P(KObjectPolicy, StickyReferencesSurviveDeactivation) {
+TEST(KObject, StickyReferencesSurviveDeactivation) {
   std::atomic<int> destroyed{0};
-  auto o = make_object<test_object>(GetParam(), &destroyed);
+  auto o = make_object<test_object>(&destroyed);
   EXPECT_TRUE(o->deactivate());
   o->ref_clone();  // clone of a held reference on a DEAD object: legal
   EXPECT_EQ(o->ref_count(), 2);
@@ -327,53 +256,46 @@ TEST_P(KObjectPolicy, StickyReferencesSurviveDeactivation) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST_P(KObjectPolicy, ActiveCheckWithoutLockIsFatal) {
+TEST(KObject, ActiveCheckWithoutLockIsFatal) {
   testing::panic_hook_scope hook;
-  auto o = make_object<test_object>(GetParam());
+  auto o = make_object<test_object>();
   EXPECT_THROW((void)o->active(), panic_error);
 }
 
-TEST_P(KObjectPolicy, LiveObjectCounter) {
+TEST(KObject, LiveObjectCounter) {
   std::uint64_t base = kobject::live_objects();
   {
-    auto a = make_object<test_object>(GetParam());
-    auto b = make_object<test_object>(GetParam());
+    auto a = make_object<test_object>();
+    auto b = make_object<test_object>();
     EXPECT_EQ(kobject::live_objects(), base + 2);
   }
   EXPECT_EQ(kobject::live_objects(), base);
 }
 
-TEST_P(KObjectPolicy, OnLastReferenceHookRuns) {
+TEST(KObject, OnLastReferenceHookRuns) {
   struct hooked : kobject {
-    hooked(refcount_policy p, std::atomic<int>* c) : kobject("hooked", p), counter(c) {}
+    explicit hooked(std::atomic<int>* c) : kobject("hooked"), counter(c) {}
     void on_last_reference() override { counter->fetch_add(1); }
     std::atomic<int>* counter;
   };
   std::atomic<int> hook_runs{0};
-  auto o = make_object<hooked>(GetParam(), &hook_runs);
+  auto o = make_object<hooked>(&hook_runs);
   o.reset();
   EXPECT_EQ(hook_runs.load(), 1);
 }
 
-// --- ref_ptr (parameterized over every count policy) ---
+// --- ref_ptr ---
 
-class RefPtrPolicy : public ::testing::TestWithParam<refcount_policy> {};
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, RefPtrPolicy, ::testing::ValuesIn(kRefcountPolicies),
-                         [](const ::testing::TestParamInfo<refcount_policy>& info) {
-                           return refcount_policy_name(info.param);
-                         });
-
-TEST_P(RefPtrPolicy, AdoptDoesNotClone) {
-  auto* raw = new test_object(GetParam());
+TEST(RefPtr, AdoptDoesNotClone) {
+  auto* raw = new test_object();
   auto p = ref_ptr<test_object>::adopt(raw);
   EXPECT_EQ(p->ref_count(), 1);
 }
 
-TEST_P(RefPtrPolicy, CopyClones) {
+TEST(RefPtr, CopyClones) {
   std::atomic<int> destroyed{0};
   {
-    auto a = make_object<test_object>(GetParam(), &destroyed);
+    auto a = make_object<test_object>(&destroyed);
     {
       ref_ptr<test_object> b = a;
       EXPECT_EQ(a->ref_count(), 2);
@@ -383,8 +305,8 @@ TEST_P(RefPtrPolicy, CopyClones) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST_P(RefPtrPolicy, MoveSteals) {
-  auto a = make_object<test_object>(GetParam());
+TEST(RefPtr, MoveSteals) {
+  auto a = make_object<test_object>();
   test_object* raw = a.get();
   ref_ptr<test_object> b = std::move(a);
   EXPECT_EQ(b.get(), raw);
@@ -392,32 +314,32 @@ TEST_P(RefPtrPolicy, MoveSteals) {
   EXPECT_EQ(b->ref_count(), 1);
 }
 
-TEST_P(RefPtrPolicy, AssignmentReleasesOld) {
+TEST(RefPtr, AssignmentReleasesOld) {
   std::atomic<int> d1{0}, d2{0};
-  auto a = make_object<test_object>(GetParam(), &d1);
-  auto b = make_object<test_object>(GetParam(), &d2);
+  auto a = make_object<test_object>(&d1);
+  auto b = make_object<test_object>(&d2);
   a = b;
   EXPECT_EQ(d1.load(), 1);
   EXPECT_EQ(b->ref_count(), 2);
 }
 
-TEST_P(RefPtrPolicy, SelfAssignmentSafe) {
-  auto a = make_object<test_object>(GetParam());
+TEST(RefPtr, SelfAssignmentSafe) {
+  auto a = make_object<test_object>();
   auto& alias = a;
   a = alias;
   EXPECT_TRUE(a);
   EXPECT_EQ(a->ref_count(), 1);
 }
 
-TEST_P(RefPtrPolicy, CloneFromRaw) {
-  auto a = make_object<test_object>(GetParam());
+TEST(RefPtr, CloneFromRaw) {
+  auto a = make_object<test_object>();
   auto b = ref_ptr<test_object>::clone_from(a.get());
   EXPECT_EQ(a->ref_count(), 2);
 }
 
-TEST_P(RefPtrPolicy, ReleaseToCallerHandsOffReference) {
+TEST(RefPtr, ReleaseToCallerHandsOffReference) {
   std::atomic<int> destroyed{0};
-  auto a = make_object<test_object>(GetParam(), &destroyed);
+  auto a = make_object<test_object>(&destroyed);
   test_object* raw = a.release_to_caller();
   EXPECT_FALSE(a);
   EXPECT_EQ(destroyed.load(), 0);
@@ -425,8 +347,8 @@ TEST_P(RefPtrPolicy, ReleaseToCallerHandsOffReference) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST_P(RefPtrPolicy, ConcurrentCopiesAreSafe) {
-  auto a = make_object<test_object>(GetParam());
+TEST(RefPtr, ConcurrentCopiesAreSafe) {
+  auto a = make_object<test_object>();
   constexpr int threads = 4;
   constexpr int iters = 10000;
   std::vector<std::thread> workers;

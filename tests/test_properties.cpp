@@ -168,22 +168,21 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
   EXPECT_GE(peak.load(), 2) << "readers never overlapped";
 }
 
-// --- refcount policies: all three implementations agree on observable
-// semantics (the equivalence contract of kern/refcount.h) ---
+// --- refcount types: the atomic count agrees with the paper's locked
+// count on observable semantics (the equivalence contract of
+// kern/refcount.h) ---
 
-class RefcountPolicyEquivalence : public ::testing::TestWithParam<refcount_policy> {};
+template <typename Count>
+class RefcountPolicyEquivalence : public ::testing::Test {};
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, RefcountPolicyEquivalence,
-                         ::testing::ValuesIn(kRefcountPolicies),
-                         [](const ::testing::TestParamInfo<refcount_policy>& info) {
-                           return refcount_policy_name(info.param);
-                         });
+using CountTypes = ::testing::Types<locked_refcount, atomic_refcount>;
+TYPED_TEST_SUITE(RefcountPolicyEquivalence, CountTypes);
 
-// Single-threaded: every policy must track a plain integer oracle exactly,
+// Single-threaded: each count must track a plain integer oracle exactly,
 // step by step, including the release()'s last-ness verdict.
-TEST_P(RefcountPolicyEquivalence, SequentialOpsMatchOracle) {
+TYPED_TEST(RefcountPolicyEquivalence, SequentialOpsMatchOracle) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    krefcount c(GetParam(), 1);
+    TypeParam c(1);
     int oracle = 1;
     xorshift64 rng(seed * 77);
     for (int i = 0; i < 2000 && oracle > 0; ++i) {
@@ -206,13 +205,12 @@ TEST_P(RefcountPolicyEquivalence, SequentialOpsMatchOracle) {
 // The core destruction-safety property: however the threads interleave,
 // release() returns true EXACTLY once — the caller that gets true is the
 // unique destroyer. Main pre-acquires every reference so worker threads
-// release references they did not acquire (the striped policy's reconcile
-// path, and the general cross-thread case).
-TEST_P(RefcountPolicyEquivalence, ReleaseReturnsTrueExactlyOnce) {
+// release references they did not acquire (the general cross-thread case).
+TYPED_TEST(RefcountPolicyEquivalence, ReleaseReturnsTrueExactlyOnce) {
   constexpr int threads = 4;
   constexpr int per_thread = 500;
   for (int round = 0; round < 10; ++round) {
-    krefcount c(GetParam(), 1);
+    TypeParam c(1);
     for (int i = 0; i < threads * per_thread - 1; ++i) c.acquire();
     std::atomic<int> lasts{0};
     std::vector<std::unique_ptr<kthread>> workers;
@@ -224,16 +222,16 @@ TEST_P(RefcountPolicyEquivalence, ReleaseReturnsTrueExactlyOnce) {
       }));
     }
     for (auto& w : workers) w->join();
-    EXPECT_EQ(lasts.load(), 1) << refcount_policy_name(GetParam()) << " round " << round;
+    EXPECT_EQ(lasts.load(), 1) << "round " << round;
     EXPECT_EQ(c.value(), 0);
   }
 }
 
 // Dead is sticky and identically fatal: after the last release, both
 // acquire (clone-from-dead) and release (over-release) panic, repeatedly.
-TEST_P(RefcountPolicyEquivalence, DeadCountPanicsIdentically) {
+TYPED_TEST(RefcountPolicyEquivalence, DeadCountPanicsIdentically) {
   testing::panic_hook_scope hook;
-  krefcount c(GetParam(), 2);
+  TypeParam c(2);
   EXPECT_FALSE(c.release());
   EXPECT_TRUE(c.release());
   EXPECT_THROW(c.acquire(), panic_error);
@@ -243,10 +241,10 @@ TEST_P(RefcountPolicyEquivalence, DeadCountPanicsIdentically) {
 
 // Randomized interleavings: threads keep a local held-balance (never
 // releasing more than they acquired, on top of the creation reference held
-// by main), so the final count must be exactly 1 for every policy.
-TEST_P(RefcountPolicyEquivalence, RandomizedInterleavingsMatchNetOracle) {
+// by main), so the final count must be exactly 1 for each count.
+TYPED_TEST(RefcountPolicyEquivalence, RandomizedInterleavingsMatchNetOracle) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    krefcount c(GetParam(), 1);
+    TypeParam c(1);
     std::vector<std::unique_ptr<kthread>> workers;
     for (int t = 0; t < 4; ++t) {
       workers.push_back(kthread::spawn("mix" + std::to_string(t), [&, t, seed] {
@@ -265,7 +263,7 @@ TEST_P(RefcountPolicyEquivalence, RandomizedInterleavingsMatchNetOracle) {
       }));
     }
     for (auto& w : workers) w->join();
-    EXPECT_EQ(c.value(), 1) << refcount_policy_name(GetParam()) << " seed " << seed;
+    EXPECT_EQ(c.value(), 1) << "seed " << seed;
   }
 }
 
