@@ -1,11 +1,13 @@
 // Tests for kernel objects: reference counting, deactivation, ref_ptr
 // (paper sections 8 and 9). The refcount suites run against both count
 // types in kern/refcount.h (the paper's locked count and the atomic count
-// every kobject holds); the kobject/ref_ptr lifecycle suites exercise the
-// object protocol through kobject's atomic count.
+// every kobject holds); the kobject/ref_ptr lifecycle suites are
+// parameterized by the count type they run on, which is the atomic count
+// kobject holds.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,12 +144,35 @@ TEST_F(refcount_trace_fixture, LockedDestroyRecordIsSequencedLast) {
   EXPECT_EQ(args.back(), 0u);
 }
 
-// Driven through kobject: destruction must emit exactly one ref_release
-// record with arg2 == 0 (the "destroyed" marker), and no record for the
-// object may follow it. (Records carry the count word's address, which
-// kobject does not expose; the reset makes this object's records the only
-// ones in the rings.)
-TEST_F(refcount_trace_fixture, KObjectEmitsDestroyMarkerExactlyOnce) {
+// Every count type, bare and driven through kobject: destruction must
+// emit exactly one ref_release record with arg2 == 0 (the "destroyed"
+// marker), and no record for the count may follow it. (Records carry the
+// count word's address, which kobject does not expose; the reset before
+// each case makes that case's records the only ones in the rings.)
+TEST_F(refcount_trace_fixture, EveryPolicyEmitsDestroyMarkerExactlyOnce) {
+  auto expect_one_final_marker = [](const std::vector<std::uint64_t>& args, const char* what) {
+    ASSERT_GE(args.size(), 2u) << what;
+    EXPECT_EQ(args.back(), 0u) << what;
+    for (std::size_t i = 0; i + 1 < args.size(); ++i) {
+      EXPECT_NE(args[i], 0u) << what << " record " << i;
+    }
+  };
+  for (testing::count_type t : {testing::count_type::locked, testing::count_type::atomic}) {
+    ktrace::reset();
+    testing::with_count_type(t, [&](auto count) {
+      using Count = typename decltype(count)::type;
+      Count c(1);
+      ktrace::enable();
+      c.acquire();
+      EXPECT_FALSE(c.release());
+      EXPECT_TRUE(c.release());  // destroys
+      ktrace::disable();
+      expect_one_final_marker(release_args_for(reinterpret_cast<std::uint64_t>(&c)),
+                              testing::count_type_name(t));
+    });
+  }
+
+  ktrace::reset();
   struct traced : kobject {
     traced() : kobject("traced") {}
   };
@@ -161,14 +186,10 @@ TEST_F(refcount_trace_fixture, KObjectEmitsDestroyMarkerExactlyOnce) {
   for (const auto& e : ktrace::collect().events) {
     if (e.rec.kind == trace_kind::ref_release) args.push_back(e.rec.arg2);
   }
-  ASSERT_GE(args.size(), 2u);
-  EXPECT_EQ(args.back(), 0u);
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    EXPECT_NE(args[i], 0u) << "record " << i;
-  }
+  expect_one_final_marker(args, "kobject");
 }
 
-// --- kobject ---
+// --- kobject (on the count type kobject holds) ---
 
 struct test_object : kobject {
   explicit test_object(std::atomic<int>* destroyed = nullptr)
@@ -180,7 +201,19 @@ struct test_object : kobject {
   int payload = 42;
 };
 
-TEST(KObject, CreationReferenceAndDestruction) {
+// kobject holds an atomic_refcount, so `atomic` is each lifecycle suite's
+// one instance.
+const auto kObjectCountTypes = ::testing::Values(testing::count_type::atomic);
+
+std::string count_type_param_name(const ::testing::TestParamInfo<testing::count_type>& info) {
+  return testing::count_type_name(info.param);
+}
+
+class KObjectPolicy : public ::testing::TestWithParam<testing::count_type> {};
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, KObjectPolicy, kObjectCountTypes, count_type_param_name);
+
+TEST_P(KObjectPolicy, CreationReferenceAndDestruction) {
   std::atomic<int> destroyed{0};
   auto* o = new test_object(&destroyed);
   EXPECT_EQ(o->ref_count(), 1);
@@ -188,7 +221,7 @@ TEST(KObject, CreationReferenceAndDestruction) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST(KObject, CloneKeepsAlive) {
+TEST_P(KObjectPolicy, CloneKeepsAlive) {
   std::atomic<int> destroyed{0};
   auto* o = new test_object(&destroyed);
   o->ref_clone();
@@ -198,7 +231,7 @@ TEST(KObject, CloneKeepsAlive) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST(KObject, CloneLockedRequiresLock) {
+TEST_P(KObjectPolicy, CloneLockedRequiresLock) {
   testing::panic_hook_scope hook;
   auto* o = new test_object();
   EXPECT_THROW(o->ref_clone_locked(), panic_error);
@@ -209,7 +242,7 @@ TEST(KObject, CloneLockedRequiresLock) {
   o->ref_release();
 }
 
-TEST(KObject, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
+TEST_P(KObjectPolicy, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
   testing::panic_hook_scope hook;
   auto* o = new test_object();
   o->ref_clone();
@@ -227,7 +260,7 @@ TEST(KObject, ReleaseWhileHoldingSimpleLockIsFatalOnlyForLast) {
   delete o;
 }
 
-TEST(KObject, DeactivationProtocol) {
+TEST_P(KObjectPolicy, DeactivationProtocol) {
   auto o = make_object<test_object>();
   o->lock();
   EXPECT_TRUE(o->active());
@@ -244,7 +277,7 @@ TEST(KObject, DeactivationProtocol) {
 // Sticky references (section 8): a deactivated object's count keeps
 // working — clones of still-held references succeed, and
 // destruction happens only when the count reaches zero.
-TEST(KObject, StickyReferencesSurviveDeactivation) {
+TEST_P(KObjectPolicy, StickyReferencesSurviveDeactivation) {
   std::atomic<int> destroyed{0};
   auto o = make_object<test_object>(&destroyed);
   EXPECT_TRUE(o->deactivate());
@@ -256,13 +289,13 @@ TEST(KObject, StickyReferencesSurviveDeactivation) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST(KObject, ActiveCheckWithoutLockIsFatal) {
+TEST_P(KObjectPolicy, ActiveCheckWithoutLockIsFatal) {
   testing::panic_hook_scope hook;
   auto o = make_object<test_object>();
   EXPECT_THROW((void)o->active(), panic_error);
 }
 
-TEST(KObject, LiveObjectCounter) {
+TEST_P(KObjectPolicy, LiveObjectCounter) {
   std::uint64_t base = kobject::live_objects();
   {
     auto a = make_object<test_object>();
@@ -272,7 +305,7 @@ TEST(KObject, LiveObjectCounter) {
   EXPECT_EQ(kobject::live_objects(), base);
 }
 
-TEST(KObject, OnLastReferenceHookRuns) {
+TEST_P(KObjectPolicy, OnLastReferenceHookRuns) {
   struct hooked : kobject {
     explicit hooked(std::atomic<int>* c) : kobject("hooked"), counter(c) {}
     void on_last_reference() override { counter->fetch_add(1); }
@@ -284,15 +317,19 @@ TEST(KObject, OnLastReferenceHookRuns) {
   EXPECT_EQ(hook_runs.load(), 1);
 }
 
-// --- ref_ptr ---
+// --- ref_ptr (on the count type kobject holds) ---
 
-TEST(RefPtr, AdoptDoesNotClone) {
+class RefPtrPolicy : public ::testing::TestWithParam<testing::count_type> {};
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, RefPtrPolicy, kObjectCountTypes, count_type_param_name);
+
+TEST_P(RefPtrPolicy, AdoptDoesNotClone) {
   auto* raw = new test_object();
   auto p = ref_ptr<test_object>::adopt(raw);
   EXPECT_EQ(p->ref_count(), 1);
 }
 
-TEST(RefPtr, CopyClones) {
+TEST_P(RefPtrPolicy, CopyClones) {
   std::atomic<int> destroyed{0};
   {
     auto a = make_object<test_object>(&destroyed);
@@ -305,7 +342,7 @@ TEST(RefPtr, CopyClones) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST(RefPtr, MoveSteals) {
+TEST_P(RefPtrPolicy, MoveSteals) {
   auto a = make_object<test_object>();
   test_object* raw = a.get();
   ref_ptr<test_object> b = std::move(a);
@@ -314,7 +351,7 @@ TEST(RefPtr, MoveSteals) {
   EXPECT_EQ(b->ref_count(), 1);
 }
 
-TEST(RefPtr, AssignmentReleasesOld) {
+TEST_P(RefPtrPolicy, AssignmentReleasesOld) {
   std::atomic<int> d1{0}, d2{0};
   auto a = make_object<test_object>(&d1);
   auto b = make_object<test_object>(&d2);
@@ -323,7 +360,7 @@ TEST(RefPtr, AssignmentReleasesOld) {
   EXPECT_EQ(b->ref_count(), 2);
 }
 
-TEST(RefPtr, SelfAssignmentSafe) {
+TEST_P(RefPtrPolicy, SelfAssignmentSafe) {
   auto a = make_object<test_object>();
   auto& alias = a;
   a = alias;
@@ -331,13 +368,13 @@ TEST(RefPtr, SelfAssignmentSafe) {
   EXPECT_EQ(a->ref_count(), 1);
 }
 
-TEST(RefPtr, CloneFromRaw) {
+TEST_P(RefPtrPolicy, CloneFromRaw) {
   auto a = make_object<test_object>();
   auto b = ref_ptr<test_object>::clone_from(a.get());
   EXPECT_EQ(a->ref_count(), 2);
 }
 
-TEST(RefPtr, ReleaseToCallerHandsOffReference) {
+TEST_P(RefPtrPolicy, ReleaseToCallerHandsOffReference) {
   std::atomic<int> destroyed{0};
   auto a = make_object<test_object>(&destroyed);
   test_object* raw = a.release_to_caller();
@@ -347,7 +384,7 @@ TEST(RefPtr, ReleaseToCallerHandsOffReference) {
   EXPECT_EQ(destroyed.load(), 1);
 }
 
-TEST(RefPtr, ConcurrentCopiesAreSafe) {
+TEST_P(RefPtrPolicy, ConcurrentCopiesAreSafe) {
   auto a = make_object<test_object>();
   constexpr int threads = 4;
   constexpr int iters = 10000;

@@ -172,99 +172,114 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
 // count on observable semantics (the equivalence contract of
 // kern/refcount.h) ---
 
-template <typename Count>
-class RefcountPolicyEquivalence : public ::testing::Test {};
+class RefcountPolicyEquivalence : public ::testing::TestWithParam<testing::count_type> {};
 
-using CountTypes = ::testing::Types<locked_refcount, atomic_refcount>;
-TYPED_TEST_SUITE(RefcountPolicyEquivalence, CountTypes);
+INSTANTIATE_TEST_SUITE_P(AllPolicies, RefcountPolicyEquivalence,
+                         ::testing::Values(testing::count_type::locked,
+                                           testing::count_type::atomic),
+                         [](const ::testing::TestParamInfo<testing::count_type>& info) {
+                           return testing::count_type_name(info.param);
+                         });
 
 // Single-threaded: each count must track a plain integer oracle exactly,
 // step by step, including the release()'s last-ness verdict.
-TYPED_TEST(RefcountPolicyEquivalence, SequentialOpsMatchOracle) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    TypeParam c(1);
-    int oracle = 1;
-    xorshift64 rng(seed * 77);
-    for (int i = 0; i < 2000 && oracle > 0; ++i) {
-      if (oracle == 1 || rng.chance_per_mille(520)) {
-        c.acquire();
-        ++oracle;
-      } else {
-        bool last = c.release();
-        --oracle;
-        EXPECT_EQ(last, oracle == 0) << "seed " << seed << " step " << i;
+TEST_P(RefcountPolicyEquivalence, SequentialOpsMatchOracle) {
+  testing::with_count_type(GetParam(), [](auto count) {
+    using Count = typename decltype(count)::type;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Count c(1);
+      int oracle = 1;
+      xorshift64 rng(seed * 77);
+      for (int i = 0; i < 2000 && oracle > 0; ++i) {
+        if (oracle == 1 || rng.chance_per_mille(520)) {
+          c.acquire();
+          ++oracle;
+        } else {
+          bool last = c.release();
+          --oracle;
+          EXPECT_EQ(last, oracle == 0) << "seed " << seed << " step " << i;
+        }
+        EXPECT_EQ(c.value(), oracle) << "seed " << seed << " step " << i;
       }
-      EXPECT_EQ(c.value(), oracle) << "seed " << seed << " step " << i;
+      while (oracle > 0) {
+        EXPECT_EQ(c.release(), --oracle == 0);
+      }
     }
-    while (oracle > 0) {
-      EXPECT_EQ(c.release(), --oracle == 0);
-    }
-  }
+  });
 }
 
 // The core destruction-safety property: however the threads interleave,
 // release() returns true EXACTLY once — the caller that gets true is the
 // unique destroyer. Main pre-acquires every reference so worker threads
 // release references they did not acquire (the general cross-thread case).
-TYPED_TEST(RefcountPolicyEquivalence, ReleaseReturnsTrueExactlyOnce) {
-  constexpr int threads = 4;
-  constexpr int per_thread = 500;
-  for (int round = 0; round < 10; ++round) {
-    TypeParam c(1);
-    for (int i = 0; i < threads * per_thread - 1; ++i) c.acquire();
-    std::atomic<int> lasts{0};
-    std::vector<std::unique_ptr<kthread>> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.push_back(kthread::spawn("rel" + std::to_string(t), [&] {
-        for (int i = 0; i < per_thread; ++i) {
-          if (c.release()) lasts.fetch_add(1);
-        }
-      }));
+TEST_P(RefcountPolicyEquivalence, ReleaseReturnsTrueExactlyOnce) {
+  testing::with_count_type(GetParam(), [](auto count) {
+    using Count = typename decltype(count)::type;
+    constexpr int threads = 4;
+    constexpr int per_thread = 500;
+    for (int round = 0; round < 10; ++round) {
+      Count c(1);
+      for (int i = 0; i < threads * per_thread - 1; ++i) c.acquire();
+      std::atomic<int> lasts{0};
+      std::vector<std::unique_ptr<kthread>> workers;
+      for (int t = 0; t < threads; ++t) {
+        workers.push_back(kthread::spawn("rel" + std::to_string(t), [&] {
+          for (int i = 0; i < per_thread; ++i) {
+            if (c.release()) lasts.fetch_add(1);
+          }
+        }));
+      }
+      for (auto& w : workers) w->join();
+      EXPECT_EQ(lasts.load(), 1) << "round " << round;
+      EXPECT_EQ(c.value(), 0);
     }
-    for (auto& w : workers) w->join();
-    EXPECT_EQ(lasts.load(), 1) << "round " << round;
-    EXPECT_EQ(c.value(), 0);
-  }
+  });
 }
 
 // Dead is sticky and identically fatal: after the last release, both
 // acquire (clone-from-dead) and release (over-release) panic, repeatedly.
-TYPED_TEST(RefcountPolicyEquivalence, DeadCountPanicsIdentically) {
+TEST_P(RefcountPolicyEquivalence, DeadCountPanicsIdentically) {
   testing::panic_hook_scope hook;
-  TypeParam c(2);
-  EXPECT_FALSE(c.release());
-  EXPECT_TRUE(c.release());
-  EXPECT_THROW(c.acquire(), panic_error);
-  EXPECT_THROW((void)c.release(), panic_error);
-  EXPECT_THROW(c.acquire(), panic_error);  // still dead, still fatal
+  testing::with_count_type(GetParam(), [](auto count) {
+    using Count = typename decltype(count)::type;
+    Count c(2);
+    EXPECT_FALSE(c.release());
+    EXPECT_TRUE(c.release());
+    EXPECT_THROW(c.acquire(), panic_error);
+    EXPECT_THROW((void)c.release(), panic_error);
+    EXPECT_THROW(c.acquire(), panic_error);  // still dead, still fatal
+  });
 }
 
 // Randomized interleavings: threads keep a local held-balance (never
 // releasing more than they acquired, on top of the creation reference held
 // by main), so the final count must be exactly 1 for each count.
-TYPED_TEST(RefcountPolicyEquivalence, RandomizedInterleavingsMatchNetOracle) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    TypeParam c(1);
-    std::vector<std::unique_ptr<kthread>> workers;
-    for (int t = 0; t < 4; ++t) {
-      workers.push_back(kthread::spawn("mix" + std::to_string(t), [&, t, seed] {
-        xorshift64 rng(seed * 1009 + static_cast<std::uint64_t>(t));
-        int held = 0;
-        for (int i = 0; i < 4000; ++i) {
-          if (held == 0 || rng.chance_per_mille(550)) {
-            c.acquire();
-            ++held;
-          } else {
-            EXPECT_FALSE(c.release());
-            --held;
+TEST_P(RefcountPolicyEquivalence, RandomizedInterleavingsMatchNetOracle) {
+  testing::with_count_type(GetParam(), [](auto count) {
+    using Count = typename decltype(count)::type;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Count c(1);
+      std::vector<std::unique_ptr<kthread>> workers;
+      for (int t = 0; t < 4; ++t) {
+        workers.push_back(kthread::spawn("mix" + std::to_string(t), [&, t, seed] {
+          xorshift64 rng(seed * 1009 + static_cast<std::uint64_t>(t));
+          int held = 0;
+          for (int i = 0; i < 4000; ++i) {
+            if (held == 0 || rng.chance_per_mille(550)) {
+              c.acquire();
+              ++held;
+            } else {
+              EXPECT_FALSE(c.release());
+              --held;
+            }
           }
-        }
-        while (held-- > 0) EXPECT_FALSE(c.release());
-      }));
+          while (held-- > 0) EXPECT_FALSE(c.release());
+        }));
+      }
+      for (auto& w : workers) w->join();
+      EXPECT_EQ(c.value(), 1) << "seed " << seed;
     }
-    for (auto& w : workers) w->join();
-    EXPECT_EQ(c.value(), 1) << "seed " << seed;
-  }
+  });
 }
 
 // --- references: random clone/release trees balance exactly ---

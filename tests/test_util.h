@@ -1,7 +1,11 @@
 // Shared test helpers.
 #pragma once
 
+#include <cstdint>
+#include <type_traits>
+
 #include "base/panic.h"
+#include "kern/refcount.h"
 
 namespace mach::testing {
 
@@ -19,5 +23,24 @@ class panic_hook_scope {
  private:
   panic_hook_t previous_;
 };
+
+// A reference count type of kern/refcount.h as a test parameter: the
+// paper's locked count, or the atomic count every kobject holds.
+enum class count_type : std::uint8_t { locked = 0, atomic = 1 };
+
+inline const char* count_type_name(count_type t) {
+  return t == count_type::locked ? "locked" : "atomic";
+}
+
+// Calls f with a std::type_identity of the count class that t names, so a
+// value-parameterized test body can be written once over both classes.
+template <typename F>
+void with_count_type(count_type t, F&& f) {
+  if (t == count_type::locked) {
+    f(std::type_identity<locked_refcount>{});
+  } else {
+    f(std::type_identity<atomic_refcount>{});
+  }
+}
 
 }  // namespace mach::testing
