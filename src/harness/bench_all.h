@@ -1,4 +1,4 @@
-// bench_all: run the whole bench suite and produce a baseline tree.
+// bench_all: run the bench suite and produce a tree of merged results.
 //
 // Discovers every bench_* binary in a build's bench directory, runs each
 // one MACHLOCK_BENCH_REPS times (each rep writes its BENCH_<name>.json
@@ -6,8 +6,8 @@
 // google-benchmark output into the common table model, merges the reps
 // per bench (median values, per-cell coefficient of variation — see
 // bench_model.h), and writes the merged BENCH_*.json tree into the output
-// directory. That tree is what gets committed under bench/baselines/ and
-// what the CI perf gate diffs against.
+// directory. The CI perf gate writes one such tree at the parent commit
+// and one at the change, on the same host, and diffs them.
 //
 // Child processes inherit the parent environment plus MACHLOCK_BENCH_JSON
 // (per rep) and, when configured, MACHLOCK_BENCH_MS and MACHLOCK_GIT_SHA

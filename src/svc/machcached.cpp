@@ -1,16 +1,13 @@
 #include "svc/machcached.h"
 
 #include <algorithm>
-#include <climits>
-#include <cstring>
 #include <string>
+#include <unordered_map>
 
-#include "base/env.h"
 #include "base/panic.h"
 #include "base/rng.h"
 #include "ipc/port.h"
 #include "metrics/kmetrics.h"
-#include "smp/processor.h"
 #include "trace/kspan.h"
 
 namespace mach {
@@ -34,6 +31,9 @@ struct mc_cache::shard {
 
 namespace {
 
+// The service port's queue bound: past it a send gets KERN_NO_SPACE.
+constexpr std::size_t kServiceQueueLimit = 4096;
+
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -41,10 +41,6 @@ std::size_t round_up_pow2(std::size_t n) {
 }
 
 }  // namespace
-
-int mc_shards_from_env(int def) {
-  return std::clamp(env_number("MACHLOCK_CACHE_SHARDS", def, INT_MIN), 1, 1024);
-}
 
 mc_cache::mc_cache(const mc_cache_config& cfg)
     : cfg_(cfg),
@@ -196,7 +192,7 @@ machcached_server::machcached_server(mc_cache& cache, const machcached_config& c
     : cache_(cache), cfg_(cfg), served_(static_cast<std::size_t>(std::max(cfg.workers, 1))) {
   MACH_ASSERT(cfg_.workers >= 1, "machcached_server needs at least one worker");
   service_ = make_object<port>("mc-service");
-  service_->set_queue_limit(cfg_.queue_limit);
+  service_->set_queue_limit(kServiceQueueLimit);
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i) {
     workers_.push_back(
@@ -223,10 +219,6 @@ std::uint64_t machcached_server::served() const {
 
 void machcached_server::worker_loop(int idx) {
   using namespace std::chrono_literals;
-  // One bound thread per virtual CPU, so a bound worker pool models the
-  // paper's "one thread of control per processor" service shape.
-  std::unique_ptr<cpu_binding> bind;
-  if (cfg_.bind_vcpus) bind = std::make_unique<cpu_binding>(idx);
   for (;;) {
     std::optional<message> req = service_->receive(20ms);
     if (!req.has_value()) {
@@ -279,159 +271,6 @@ void machcached_server::worker_loop(int idx) {
       (void)req->reply_to->send(std::move(reply));
     }
   }
-}
-
-// --- load generator ---
-
-double mc_load_result::ops_per_second() const noexcept {
-  return wall_nanos == 0 ? 0.0 : static_cast<double>(ops) * 1e9 / static_cast<double>(wall_nanos);
-}
-
-double mc_load_result::hit_rate() const noexcept {
-  const std::uint64_t denom = cache_stats.hits + cache_stats.misses;
-  return denom == 0 ? 0.0 : static_cast<double>(cache_stats.hits) / static_cast<double>(denom);
-}
-
-namespace {
-
-// Per-connection tallies, merged after the join.
-struct conn_result {
-  std::uint64_t ops = 0;
-  latency_histogram latency;
-  std::uint64_t backpressure = 0;
-  std::uint64_t shortages = 0;
-  std::uint64_t timeouts = 0;
-};
-
-void run_connection(int idx, const mc_load_spec& spec, port& service, std::uint64_t deadline,
-                    conn_result& out) {
-  using namespace std::chrono_literals;
-  xorshift64 rng(0x6d63ull * 1315423911u + static_cast<std::uint64_t>(idx));
-  ref_ptr<port> reply = make_object<port>("mc-conn-reply");
-  std::vector<std::uint64_t> value(spec.cache.value_words, 0);
-
-  int in_flight = 0;
-  bool service_up = true;
-  auto absorb = [&](const message& m) {
-    --in_flight;
-    ++out.ops;
-    if (!m.data.empty()) {
-      const std::uint64_t sent = m.data[0];
-      const std::uint64_t now = now_nanos();
-      out.latency.record(now > sent ? now - sent : 0);
-    }
-    if (m.ret == KERN_RESOURCE_SHORTAGE) ++out.shortages;
-  };
-
-  while (service_up && now_nanos() < deadline) {
-    // Open loop within a bounded window: issue until the window is full
-    // (or the service port pushes back), then reap at least one reply.
-    while (service_up && in_flight < spec.window && now_nanos() < deadline) {
-      const std::uint64_t key = rng.next_below(std::max<std::uint64_t>(spec.keyspace, 1));
-      message req;
-      if (rng.next_below(100) < static_cast<std::uint64_t>(spec.read_pct)) {
-        req.op = MC_GET;
-        req.data = {key, now_nanos()};
-      } else if (spec.del_every > 0 &&
-                 rng.next_below(static_cast<std::uint64_t>(spec.del_every)) == 0) {
-        req.op = MC_DEL;
-        req.data = {key, now_nanos()};
-      } else {
-        req.op = MC_SET;
-        req.data.reserve(2 + value.size());
-        req.data = {key, now_nanos()};
-        value[0] = key ^ 0xfeedfaceull;
-        req.data.insert(req.data.end(), value.begin(), value.end());
-      }
-      req.reply_to = reply;
-      const kern_return_t kr = service.send(std::move(req));
-      if (kr == KERN_SUCCESS) {
-        ++in_flight;
-      } else if (kr == KERN_NO_SPACE) {
-        ++out.backpressure;
-        break;  // queue full: go reap replies instead of hammering
-      } else {
-        service_up = false;  // KERN_TERMINATED: server shut down under us
-      }
-    }
-    if (in_flight == 0) continue;
-    // The bounded receive path here is exactly the port::receive timeout
-    // race the PR fixes: replies landing at the timeout boundary must not
-    // be stranded for a later call to mis-collect.
-    std::optional<message> m = reply->receive(50ms);
-    if (m.has_value()) {
-      absorb(*m);
-    } else {
-      ++out.timeouts;
-    }
-  }
-
-  // Drain: every accepted send produces exactly one reply (the server is
-  // not stopped until all connections join), so wait the stragglers out.
-  int dry = 0;
-  while (in_flight > 0 && dry < 20) {
-    std::optional<message> m = reply->receive(250ms);
-    if (m.has_value()) {
-      absorb(*m);
-      dry = 0;
-    } else {
-      ++dry;
-      ++out.timeouts;
-    }
-  }
-}
-
-}  // namespace
-
-mc_load_result run_mc_load(const mc_load_spec& spec) {
-  MACH_ASSERT(spec.connections >= 1 && spec.workers >= 1, "mc load needs clients and workers");
-  mc_cache cache(spec.cache);
-  machcached_config scfg;
-  scfg.workers = spec.workers;
-  scfg.bind_vcpus = spec.bind_vcpus;
-  machcached_server server(cache, scfg);
-
-  if (spec.prefill) {
-    std::vector<std::uint64_t> value(spec.cache.value_words, 0);
-    for (std::uint64_t k = 0; k < spec.keyspace; ++k) {
-      value[0] = k ^ 0xfeedfaceull;
-      (void)cache.set(k, value.data(), value.size());  // shortage just lowers hit rate
-    }
-  }
-
-  std::vector<conn_result> results(static_cast<std::size_t>(spec.connections));
-  const std::uint64_t start = now_nanos();
-  const std::uint64_t deadline =
-      start + static_cast<std::uint64_t>(spec.duration_ms) * 1'000'000ull;
-  std::vector<std::unique_ptr<kthread>> conns;
-  conns.reserve(results.size());
-  for (int i = 0; i < spec.connections; ++i) {
-    conns.push_back(kthread::spawn("mc-conn-" + std::to_string(i), [&, i] {
-      run_connection(i, spec, server.service(), deadline, results[static_cast<std::size_t>(i)]);
-    }));
-  }
-  for (auto& c : conns) c->join();
-  const std::uint64_t wall = now_nanos() - start;
-
-  mc_load_result r;
-  server.stop();
-  // Snapshot after stop(): every worker has joined, so the stats are
-  // quiescent.
-  r.lock_top = lock_registry::instance().snapshot();
-  r.wall_nanos = wall;
-  for (const conn_result& c : results) {
-    r.ops += c.ops;
-    r.latency.merge(c.latency);
-    r.send_backpressure += c.backpressure;
-    r.shortage_replies += c.shortages;
-    r.reply_timeouts += c.timeouts;
-  }
-  r.served = server.served();
-  r.cache_stats = cache.stats();
-
-  std::string why;
-  MACH_ASSERT(cache.check_quiesced(&why), "machcached cache failed quiesce invariant: " + why);
-  return r;
 }
 
 }  // namespace mach

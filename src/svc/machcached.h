@@ -1,6 +1,6 @@
 // machcached — a memcached-style request/response service built entirely
-// on the kernel substrate, and the repo's first traffic-serving workload
-// (ROADMAP item 1, experiment E17).
+// on the kernel substrate, and the workload that perfbench's end-to-end
+// benchmark serves (perfbench/README.md).
 //
 // The shape follows the paper's own layering rather than a user-space
 // cache library:
@@ -14,25 +14,18 @@
 //     through it;
 //   * the item table is guarded by complex locks (Appendix B): GET takes
 //     a read hold, SET/DELETE a write hold, optionally striped across
-//     shards (MACHLOCK_CACHE_SHARDS) so the lock-granularity story of
-//     section 2 is measurable against served traffic;
+//     shards so the lock-granularity story of section 2 is measurable
+//     against served traffic;
 //   * client "connections" arrive as IPC messages on a service port
-//     (section 3); a pool of worker kthreads — optionally bound to
-//     virtual processors — serves them and replies through each
-//     message's carried reply-port right.
+//     (section 3); a pool of worker kthreads serves them and replies
+//     through each message's carried reply-port right.
 //
-// `run_mc_load` is the open-loop load generator the E17 bench and the CI
-// smoke drive: per-connection client threads keep up to `window` requests
-// in flight (the window bounds the port queues without closing the loop
-// on every request), and report ops/s, round-trip p50/p99, backpressure
-// and the cache hit rate. docs/MACHCACHED.md is the operator's guide.
+// docs/MACHCACHED.md is the operator's guide.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/stats.h"
@@ -42,7 +35,6 @@
 #include "kern/zalloc.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
-#include "sync/lockstat.h"
 
 namespace mach {
 
@@ -75,8 +67,7 @@ class mc_item final : public kobject {
 
 struct mc_cache_config {
   // Item-table stripe count (rounded up to a power of two). 1 reproduces
-  // the paper's single complex-lock table; mc_shards_from_env() applies
-  // the MACHLOCK_CACHE_SHARDS override.
+  // the paper's single complex-lock table.
   int shards = 1;
   // Zone capacity: resident item ceiling (SET fails with
   // KERN_RESOURCE_SHORTAGE once the zone is exhausted — zalloc
@@ -137,10 +128,7 @@ class mc_cache {
   mutable event_counter gets_, hits_, misses_, sets_, set_failures_, deletes_, delete_misses_;
 };
 
-// Reads MACHLOCK_CACHE_SHARDS (default `def`), clamped to [1, 1024].
-int mc_shards_from_env(int def = 1);
-
-// --- the service (workers on virtual processors, IPC in front) ---
+// --- the service (worker kthreads, IPC in front) ---
 
 enum mc_op : std::uint32_t {
   MC_GET = 100,  // request data: [key, client-stamp]; hit reply data: [stamp, value...]
@@ -150,10 +138,6 @@ enum mc_op : std::uint32_t {
 
 struct machcached_config {
   int workers = 2;
-  // Bind worker i to virtual CPU i (machine::configure(>= workers) must
-  // have run; off by default so unit tests need no machine setup).
-  bool bind_vcpus = false;
-  std::size_t queue_limit = 4096;
 };
 
 class machcached_server {
@@ -181,43 +165,5 @@ class machcached_server {
   std::vector<event_counter> served_;
   std::vector<std::unique_ptr<kthread>> workers_;
 };
-
-// --- the open-loop load generator ---
-
-struct mc_load_spec {
-  int connections = 4;
-  int workers = 2;
-  int duration_ms = 200;
-  int read_pct = 90;  // GETs; the remainder splits per write_del_ratio
-  // Of the non-GET ops, one in `del_every` is a DELETE (0 = never).
-  int del_every = 8;
-  int window = 8;  // max in-flight requests per connection
-  std::uint64_t keyspace = 512;
-  bool prefill = true;  // SET every key once before the clock starts
-  bool bind_vcpus = false;
-  mc_cache_config cache;
-};
-
-struct mc_load_result {
-  std::uint64_t ops = 0;  // completed request/response pairs
-  std::uint64_t wall_nanos = 0;
-  latency_histogram latency;  // client-observed round trip
-  std::uint64_t send_backpressure = 0;  // sends bounced by the port queue limit
-  std::uint64_t shortage_replies = 0;   // SETs refused on zone exhaustion
-  std::uint64_t reply_timeouts = 0;     // bounded reply receives that timed out
-  std::uint64_t served = 0;             // server-side request count
-  mc_cache_stats cache_stats;
-  // lock_registry snapshot taken once the workers have joined — the raw
-  // material for the E17 contention top table. Counters are cumulative per
-  // lock name over the process, not per run.
-  std::vector<lock_stat_entry> lock_top;
-
-  double ops_per_second() const noexcept;
-  double hit_rate() const noexcept;  // hits / (hits + misses), 0 when idle
-};
-
-// Build a cache + server per `spec`, run the sweep point, tear down, and
-// report. The same driver backs bench E17, the example, and the CI smoke.
-mc_load_result run_mc_load(const mc_load_spec& spec);
 
 }  // namespace mach

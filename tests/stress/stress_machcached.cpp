@@ -19,6 +19,7 @@
 
 #include "base/rng.h"
 #include "svc/machcached.h"
+#include "tests/mc_load.h"
 #include "trace/trace_session.h"
 
 using namespace mach;
@@ -99,15 +100,14 @@ void table_storm(int shards, int threads, int iters) {
               cache.size(), static_cast<unsigned long long>(s.gets));
 }
 
-// Arm 2 — the full IPC service under load: run_mc_load already asserts
-// the quiesce invariant at teardown; on top, check message conservation —
-// every accepted request was served, replied to, and collected (the
-// property the port-receive timeout fix protects).
+// Arm 2 — the full IPC service under load (tests/mc_load.h): the quiesce
+// invariant at teardown, and message conservation — every accepted
+// request was served, replied to, and collected (the property the
+// port-receive timeout fix protects).
 void ipc_battery(int threads) {
   for (int read_pct : {90, 30}) {
-    mc_load_spec spec;
+    testing::burst_spec spec;
     spec.connections = threads;
-    spec.workers = 2;
     spec.duration_ms = 150;
     spec.read_pct = read_pct;
     spec.keyspace = 96;
@@ -115,14 +115,15 @@ void ipc_battery(int threads) {
     spec.cache.max_items = 128;  // tight: zone shortage is exercised
     spec.cache.value_words = 4;
     const std::uint64_t live_before = kobject::live_objects();
-    mc_load_result r = run_mc_load(spec);
+    testing::burst_result r = testing::run_burst(spec);
+    CHECK(r.quiesce_error.empty(), r.quiesce_error.c_str());
     CHECK(r.ops > 0, "load burst completed no ops");
     CHECK(r.ops == r.served, "replies lost between server and clients");
     CHECK(r.latency.count() == r.ops, "latency accounting leaked");
     CHECK(kobject::live_objects() == live_before, "service leaked kernel objects");
     std::printf("ipc battery ok: read%%=%d ops=%llu shortage=%llu\n", read_pct,
                 static_cast<unsigned long long>(r.ops),
-                static_cast<unsigned long long>(r.shortage_replies));
+                static_cast<unsigned long long>(r.shortages));
   }
 }
 

@@ -1,12 +1,11 @@
 // Tests for the machcached service: the item cache (complex-locked,
-// striped, zone-backed, refcounted), the IPC-fronted server, and the load
-// driver (svc/machcached.h; docs/MACHCACHED.md).
+// striped, zone-backed, refcounted) and the IPC-fronted server, also
+// under a burst of client traffic (svc/machcached.h; docs/MACHCACHED.md).
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "sched/kthread.h"
 #include "svc/machcached.h"
+#include "tests/mc_load.h"
 #include "tests/test_util.h"
 
 namespace mach {
@@ -76,15 +75,6 @@ TEST(McCache, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(mc_cache(small_cache(1)).shards(), 1);
   EXPECT_EQ(mc_cache(small_cache(3)).shards(), 4);
   EXPECT_EQ(mc_cache(small_cache(16)).shards(), 16);
-}
-
-TEST(McCache, ShardsFromEnv) {
-  ::setenv("MACHLOCK_CACHE_SHARDS", "9", 1);
-  EXPECT_EQ(mc_shards_from_env(1), 9);
-  ::setenv("MACHLOCK_CACHE_SHARDS", "100000", 1);
-  EXPECT_EQ(mc_shards_from_env(1), 1024);  // clamped
-  ::unsetenv("MACHLOCK_CACHE_SHARDS");
-  EXPECT_EQ(mc_shards_from_env(3), 3);
 }
 
 TEST(McCache, QuiesceInvariantDetectsOutstandingReference) {
@@ -180,21 +170,20 @@ TEST(McServer, SetRequestAndGetReplyStayInline) {
 
 TEST(McLoad, ShortBurstConservesMessagesAndObjects) {
   const std::uint64_t live_before = kobject::live_objects();
-  mc_load_spec spec;
+  testing::burst_spec spec;
   spec.connections = 3;
-  spec.workers = 2;
   spec.duration_ms = 60;
   spec.read_pct = 80;
   spec.keyspace = 64;
   spec.cache = small_cache(4, /*max_items=*/128);
-  mc_load_result r = run_mc_load(spec);  // asserts the quiesce invariant itself
+  testing::burst_result r = testing::run_burst(spec);
   EXPECT_GT(r.ops, 0u);
   // Every completed op is a request the server served, and every accepted
   // request was answered and collected (the drain phase waits them out) —
   // the conservation property the port-receive timeout fix protects.
   EXPECT_EQ(r.ops, r.served);
   EXPECT_EQ(r.latency.count(), r.ops);
-  EXPECT_GT(r.ops_per_second(), 0.0);
+  EXPECT_TRUE(r.quiesce_error.empty()) << r.quiesce_error;
   EXPECT_EQ(kobject::live_objects(), live_before);  // cache+server+ports all died
 }
 

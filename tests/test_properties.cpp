@@ -131,15 +131,36 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "threads";
     });
 
-// Readers really do overlap while writers exclude them, measured rather
-// than assumed: under heavy reading the peak concurrent-reader count must
-// exceed 1 (otherwise the lock would be degenerate exclusive).
+// Readers really do overlap while writers exclude them. The overlap is
+// forced, not hoped for: in a writer-free opening phase two readers each
+// hold the lock until both are inside, so a lock that made readers
+// exclusive fails after a bounded wait instead of passing whenever the
+// host happened to run the readers one after another.
 TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
   lock_data_t lock;
   lock_init(&lock, true, "overlap");
-  std::atomic<int> inside{0};
-  std::atomic<int> peak{0};
   rw_model model;
+
+  std::atomic<int> inside{0};
+  std::atomic<int> met{0};  // readers that saw the other reader inside
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  std::vector<std::unique_ptr<kthread>> openers;
+  for (int t = 0; t < 2; ++t) {
+    openers.push_back(kthread::spawn("ov-open" + std::to_string(t), [&] {
+      lock_read(&lock);
+      model.enter_read();
+      inside.fetch_add(1);
+      while (inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (inside.load() >= 2) met.fetch_add(1);
+      model.exit_read();
+      lock_done(&lock);
+    }));
+  }
+  for (auto& o : openers) o->join();
+  EXPECT_EQ(met.load(), 2) << "readers never overlapped";
+
   std::vector<std::unique_ptr<kthread>> workers;
   for (int t = 0; t < 4; ++t) {
     workers.push_back(kthread::spawn("ov" + std::to_string(t), [&, t] {
@@ -152,12 +173,9 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
           lock_done(&lock);
         } else {
           lock_read(&lock);
-          int now = inside.fetch_add(1) + 1;
-          int prev = peak.load();
-          while (prev < now && !peak.compare_exchange_weak(prev, now)) {
-          }
-          std::this_thread::yield();  // encourage overlap
-          inside.fetch_sub(1);
+          model.enter_read();
+          std::this_thread::yield();  // widen the read section for a writer to collide with
+          model.exit_read();
           lock_done(&lock);
         }
       }
@@ -165,7 +183,6 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
   }
   for (auto& w : workers) w->join();
   EXPECT_FALSE(model.violated.load());
-  EXPECT_GE(peak.load(), 2) << "readers never overlapped";
 }
 
 // --- refcount types: the atomic count agrees with the paper's locked

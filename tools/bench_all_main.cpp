@@ -1,7 +1,7 @@
-// bench_all — run the full bench suite into a committed-baseline tree.
+// bench_all — run the bench suite into a tree of merged BENCH_*.json.
 //
-//   bench_all --bench-dir build/bench --out bench/baselines
-//             [--reps N] [--bench-ms M] [--only e7]
+//   bench_all --bench-dir build/bench --out bench-fresh
+//             [--reps N] [--bench-ms M] [--only e13]
 //
 // Repetitions default to MACHLOCK_BENCH_REPS (else 1); each bench's cells
 // become the median over reps with the coefficient of variation stamped
