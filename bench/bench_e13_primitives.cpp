@@ -165,6 +165,23 @@ void BM_MsgRpcCounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_MsgRpcCounterAdd);
 
+// Read round trips on one Sleep lock from several threads at once: the
+// layer row behind a GET on a shared shard. With reader bias a read writes
+// no line the other readers share, so the 3-thread cost stays near the
+// 1-thread cost (DESIGN.md decision 12). Registered last: run before the
+// single-threaded rows, its threads slowed the rows after it
+// (BM_EventShortCircuit 95-127 -> 150-200 ns), so they would no longer
+// compare with their parent's.
+lock_data_t g_shared_read_lock{"bm-read-shared"};
+
+void BM_ComplexReadShared(benchmark::State& state) {
+  for (auto _ : state) {
+    lock_read(&g_shared_read_lock);
+    lock_done(&g_shared_read_lock);
+  }
+}
+BENCHMARK(BM_ComplexReadShared)->Threads(1)->Threads(3);
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() so a trace_session wraps the benchmark run:

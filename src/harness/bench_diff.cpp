@@ -80,7 +80,7 @@ void append_name_array(std::string& out, const std::vector<std::string>& names) 
   out += "[";
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(names[i]) + "\"";
+    out.append("\"").append(json_escape(names[i])).append("\"");
   }
   out += "]";
 }

@@ -126,7 +126,7 @@ std::string render_folded(const kprof::profile& p) {
       out += ";";
       for (char c : s.site) out += c == ';' ? ',' : c;
     }
-    out += " " + std::to_string(s.count) + "\n";
+    out.append(" ").append(std::to_string(s.count)).append("\n");
   }
   return out;
 }
@@ -215,7 +215,7 @@ std::string render_flight_json(const kprof::profile& p) {
     for (const auto& [name, v] : f.values) {
       if (!vfirst) out += ",";
       vfirst = false;
-      out += "\"" + json_escape(name) + "\":";
+      out.append("\"").append(json_escape(name)).append("\":");
       append_double(out, v);
     }
     out += "}";
@@ -227,7 +227,7 @@ std::string render_flight_json(const kprof::profile& p) {
       for (const kmon::rate_sample& r : kmon::counter_rates(*prev, f)) {
         if (!rfirst) out += ",";
         rfirst = false;
-        out += "\"" + json_escape(r.name) + "\":";
+        out.append("\"").append(json_escape(r.name)).append("\":");
         append_double(out, r.per_second);
       }
       out += "}";

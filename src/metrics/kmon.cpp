@@ -18,13 +18,37 @@ std::atomic<bool> g_enabled{false};
 
 constinit thread_local unsigned t_way = 0;
 
+namespace {
+
+// Live threads per way. A thread's claim is dropped when it exits, so the
+// ways of exited threads are reused first.
+std::atomic<unsigned> g_way_threads[num_ways];
+
+struct way_claim {
+  ~way_claim() { g_way_threads[t_way - 1].fetch_sub(1, std::memory_order_relaxed); }
+};
+
+}  // namespace
+
 unsigned claim_way() noexcept {
-  // Round-robin stripe assignment at first use: cheap, stable per thread,
-  // and spreads concurrent writers across ways even when thread ids are
-  // clustered.
+  // Stripe assignment at first use, stable per thread: the way with the
+  // fewest live threads, ties broken round-robin. Up to num_ways live
+  // threads get a way each, however many threads came and went before,
+  // so they share no stripe (and no row of the complex lock's reader
+  // table).
   static std::atomic<unsigned> next{0};
-  const unsigned w = next.fetch_add(1, std::memory_order_relaxed) % num_ways;
+  const unsigned start = next.fetch_add(1, std::memory_order_relaxed);
+  unsigned w = start % num_ways;
+  for (unsigned i = 1; i < num_ways; ++i) {
+    const unsigned c = (start + i) % num_ways;
+    if (g_way_threads[c].load(std::memory_order_relaxed) <
+        g_way_threads[w].load(std::memory_order_relaxed)) {
+      w = c;
+    }
+  }
+  g_way_threads[w].fetch_add(1, std::memory_order_relaxed);
   t_way = w + 1;
+  thread_local way_claim claim;  // drops the count at thread exit
   return w;
 }
 

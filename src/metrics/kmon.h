@@ -11,9 +11,10 @@
 // keeps them; prof/kprof.h).
 //
 // Metric types:
-//   * counter   — monotonically increasing event tally, striped across
-//                 cacheline-padded per-CPU-ish ways so concurrent writers
-//                 do not bounce one line;
+//   * counter   — monotonically increasing event tally, a striped_counter
+//                 (cacheline-padded per-CPU-ish ways, also used by
+//                 always-on counts) so concurrent writers do not bounce
+//                 one line;
 //   * gauge     — instantaneous signed level (queue depth, in-flight ops);
 //   * callback_gauge — gauge evaluated lazily at snapshot time (zone
 //                 occupancy, live object count, lockstat bridges);
@@ -134,15 +135,12 @@ class metric {
   std::string label_value_;
 };
 
-// Monotonic event counter, striped to keep concurrent writers off one
-// cacheline. value() is a racy sum — the usual diagnostics trade.
-class counter final : public metric {
+// An always-on count striped across the ways: each thread adds on its own
+// way's cacheline, so concurrent writers share no line. value() is a racy
+// sum — the usual diagnostics trade.
+class striped_counter {
  public:
-  counter(const char* name, const char* help)
-      : metric(name, help, metric_kind::counter) {}
-
-  void inc(std::uint64_t n = 1) noexcept {
-    if (!enabled()) [[likely]] return;
+  void add(std::uint64_t n = 1) noexcept {
     ways_[detail::way_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -152,8 +150,7 @@ class counter final : public metric {
     return sum;
   }
 
-  void sample_into(metric_sample& s) const override { s.value = static_cast<double>(value()); }
-  void reset() noexcept override {
+  void reset() noexcept {
     for (way& w : ways_) w.v.store(0, std::memory_order_relaxed);
   }
 
@@ -162,6 +159,27 @@ class counter final : public metric {
     std::atomic<std::uint64_t> v{0};
   };
   way ways_[num_ways];
+};
+
+// Monotonic event counter: a striped_counter that counts only while kmon
+// is enabled.
+class counter final : public metric {
+ public:
+  counter(const char* name, const char* help)
+      : metric(name, help, metric_kind::counter) {}
+
+  void inc(std::uint64_t n = 1) noexcept {
+    if (!enabled()) [[likely]] return;
+    c_.add(n);
+  }
+
+  std::uint64_t value() const noexcept { return c_.value(); }
+
+  void sample_into(metric_sample& s) const override { s.value = static_cast<double>(value()); }
+  void reset() noexcept override { c_.reset(); }
+
+ private:
+  striped_counter c_;
 };
 
 // Signed level. Updates are gated like counters, so a gauge paired across

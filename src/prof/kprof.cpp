@@ -356,7 +356,7 @@ std::string export_json(const profile& p) {
     for (const auto& [name, v] : f.values) {
       if (!vfirst) out += ",";
       vfirst = false;
-      out += "\"" + json_escape(name) + "\":";
+      out.append("\"").append(json_escape(name)).append("\":");
       append_double(out, v);
     }
     out += "}}";

@@ -162,6 +162,9 @@ struct event_system {
     return t.wakeup_result_;
   }
 
+  // Once the mutex is released the woken thread may return, exit and be
+  // destroyed; `notifying_` makes its destructor wait until the notify
+  // below is done with the condition variable.
   static void deliver(kthread* t, wait_result r) {
     {
       std::lock_guard<std::mutex> g(t->wait_mutex_);
@@ -170,8 +173,10 @@ struct event_system {
       if (kspan::enabled()) {
         t->wake_span_ctx_.store(kspan::current(), std::memory_order_relaxed);
       }
+      t->notifying_.fetch_add(1, std::memory_order_relaxed);
     }
     t->wait_cv_.notify_all();
+    t->notifying_.fetch_sub(1, std::memory_order_release);
   }
 
   // Wake-one delivers its single thread from `first` with no container;

@@ -1,6 +1,7 @@
 #include "sched/kthread.h"
 
 #include <future>
+#include <thread>
 
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
@@ -18,6 +19,7 @@ kthread::kthread(std::string name) : name_(std::move(name)) {}
 
 kthread::~kthread() {
   MACH_ASSERT(!host_.joinable(), "kthread '" + name_ + "' destroyed without join");
+  while (notifying_.load(std::memory_order_acquire) != 0) std::this_thread::yield();
   if (tl_current == this) tl_current = nullptr;
 }
 

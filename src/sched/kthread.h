@@ -75,6 +75,10 @@ class kthread {
   // thread when its block ends, so the trace records who unblocked whom.
   // 0 when spans are disabled or the waker carried no span.
   std::atomic<std::uint64_t> wake_span_ctx_{0};
+  // Wakeup deliveries between releasing wait_mutex_ and finishing their
+  // notify; the destructor waits for none to remain before destroying
+  // wait_cv_.
+  std::atomic<int> notifying_{0};
 };
 
 }  // namespace mach

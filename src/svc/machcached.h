@@ -33,6 +33,7 @@
 #include "ipc/port.h"
 #include "kern/object.h"
 #include "kern/zalloc.h"
+#include "metrics/kmon.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
 
@@ -124,8 +125,8 @@ class mc_cache {
   mc_cache_config cfg_;
   zone vzone_;
   std::vector<std::unique_ptr<shard>> shards_;
-  // Cacheline-padded so the counters do not ping-pong under load.
-  mutable event_counter gets_, hits_, misses_, sets_, set_failures_, deletes_, delete_misses_;
+  // Striped per way, so callers on different ways share no counter line.
+  kmon::striped_counter gets_, hits_, misses_, sets_, set_failures_, deletes_, delete_misses_;
 };
 
 // --- the service (worker kthreads, IPC in front) ---

@@ -2,6 +2,7 @@
 
 #include "base/backoff.h"
 #include "base/panic.h"
+#include "metrics/kmon.h"
 #include "sched/event.h"
 #include "sync/deadlock.h"
 #include "sync/lock_probe.h"
@@ -88,14 +89,119 @@ void lock_wakeup(lock_t l) {
   __builtin_unreachable();
 }
 
+// --- reader bias (DESIGN.md decision 12) ---
+
+// The visible-reader table: one cacheline-aligned row per kmon way, each
+// a set of slots a biased reader publishes its lock in. A reader uses
+// slot bias_slot(lock) of its own way's row, so readers on different ways
+// write different lines, and a writer checks one slot per row.
+constexpr unsigned bias_slots = 64;
+struct alignas(cacheline_size) bias_row {
+  std::atomic<lock_data_t*> slot[bias_slots];
+};
+constinit bias_row visible_readers[kmon::num_ways];
+// The slots of its way's row the calling thread holds a biased read in.
+constinit thread_local std::uint64_t t_biased = 0;
+
+unsigned bias_slot(const lock_data_t* l) {
+  return static_cast<unsigned>((reinterpret_cast<std::uintptr_t>(l) * 0x9E3779B97F4A7C15ull) >>
+                               58);
+}
+
+std::atomic<lock_data_t*>& own_slot(const lock_data_t* l) {
+  return visible_readers[kmon::detail::way_index()].slot[bias_slot(l)];
+}
+
+// Does the calling thread hold `l` through its slot?
+bool holds_biased(const lock_data_t* l) {
+  return (t_biased >> bias_slot(l) & 1) != 0 &&
+         own_slot(l).load(std::memory_order_relaxed) == l;
+}
+
+// Empty the calling thread's slot for `l`.
+void clear_own_slot(lock_t l) {
+  t_biased &= ~(std::uint64_t{1} << bias_slot(l));
+  own_slot(l).store(nullptr, std::memory_order_seq_cst);
+}
+
+// Does any row hold a biased read of `l`? The drain predicate's addition.
+bool readers_visible(const lock_data_t* l) {
+  const unsigned s = bias_slot(l);
+  for (const bias_row& r : visible_readers) {
+    if (r.slot[s].load(std::memory_order_seq_cst) == l) return true;
+  }
+  return false;
+}
+
 // Would a new (non-recursive) reader have to wait? With writers' priority
 // (Mach behaviour) any outstanding write or upgrade request holds new
 // readers off, guaranteeing the writer eventually gets the drained lock.
-// Without it, readers keep piling in while read_count > 0 — the starvation
-// experiment E3 measures.
+// Without it, readers keep piling in while any reader, biased or not,
+// holds the lock — the starvation experiment E3 measures.
 bool reader_must_wait(const lock_data_t* l) {
-  if (l->writer_priority) return l->want_write || l->want_upgrade;
-  return (l->want_write || l->want_upgrade) && l->read_count == 0;
+  if (!l->want_write && !l->want_upgrade) return false;
+  return l->writer_priority || (l->read_count == 0 && !readers_visible(l));
+}
+
+// Interlock held, a write-side request pending: no new biased reader may
+// enter, and interlocked reads leave the bias off for a while. The
+// seq_cst store pairs with a reader's seq_cst re-check after it publishes
+// its slot: either the reader sees the bias off, or the writer sees the
+// slot.
+void revoke_bias(lock_t l) {
+  l->bias_inhibit = lock_bias_inhibit_reads;
+  if (l->read_bias.load(std::memory_order_relaxed)) {
+    l->read_bias.store(false, std::memory_order_seq_cst);
+  }
+}
+
+// Interlock held, after an interlocked read hold: turn the bias back on
+// once the inhibit count has run out and nothing holds it off.
+void rebias(lock_t l) {
+  if (l->read_bias.load(std::memory_order_relaxed)) return;
+  if (l->bias_inhibit > 0) {
+    --l->bias_inhibit;
+  } else if (!l->want_write && !l->want_upgrade && l->recursion_thread == nullptr) {
+    l->read_bias.store(true, std::memory_order_release);
+  }
+}
+
+// Wake a writer that may sleep on a slot the caller just emptied, when
+// the bias is off (a writer turned it off and may have seen the slot).
+void wake_after_slot_cleared(lock_t l) {
+  if (l->read_bias.load(std::memory_order_seq_cst)) return;
+  simple_lock(&l->interlock);
+  lock_wakeup(l);
+  simple_unlock(&l->interlock);
+}
+
+// A read hold without the interlock: publish `l` in the caller's slot and
+// keep it if the bias is still on. Not taken while an instrument listens
+// to read holds (they would miss it) or when the slot is in use (by
+// another thread of this way, or by this thread for another lock or a
+// nested read). The hold is counted once, in the name-wide lockstat.
+bool biased_read(lock_t l) {
+  if (!l->read_bias.load(std::memory_order_relaxed)) return false;
+  if ((lock_probe::listeners() & route(probe_kind::complex_read).hold) != 0) return false;
+  std::atomic<lock_data_t*>& slot = own_slot(l);
+  lock_data_t* empty = nullptr;
+  if (!slot.compare_exchange_strong(empty, l, std::memory_order_seq_cst)) return false;
+  if (!l->read_bias.load(std::memory_order_seq_cst)) {
+    slot.store(nullptr, std::memory_order_seq_cst);
+    wake_after_slot_cleared(l);
+    return false;
+  }
+  t_biased |= std::uint64_t{1} << bias_slot(l);
+  l->stat_class->count_acquisition();
+  return true;
+}
+
+// Interlock held: turn the caller's biased hold of `l`, if any, into an
+// interlocked one, so an upgrade can give it up under the interlock.
+void count_biased_hold(lock_t l) {
+  if (!holds_biased(l)) return;
+  ++l->read_count;
+  clear_own_slot(l);
 }
 
 }  // namespace
@@ -108,6 +214,8 @@ void lock_init(lock_t l, bool can_sleep, const char* name) {
   l->can_sleep = can_sleep;
   l->writer_priority = true;
   l->mach25_try_upgrade_bug = false;
+  l->read_bias.store(false, std::memory_order_relaxed);
+  l->bias_inhibit = 0;
   l->read_count = 0;
   l->recursion_thread = nullptr;
   l->recursion_depth = 0;
@@ -119,6 +227,7 @@ void lock_init(lock_t l, bool can_sleep, const char* name) {
 }
 
 void lock_read(lock_t l) {
+  if (biased_read(l)) return;
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
@@ -136,6 +245,7 @@ void lock_read(lock_t l) {
   w.done();
   ++l->read_count;
   count_acquisition(l, l->stats.read_acquisitions);
+  rebias(l);
   lock_probe::acquired(probe_kind::complex_read, site(l), me);
   simple_unlock(&l->interlock);
 }
@@ -159,9 +269,11 @@ void lock_write(lock_t l) {
   // Wait our turn behind other writers/upgraders...
   while (l->want_write || l->want_upgrade) w.wait();
   l->want_write = true;  // commits us: no new readers may be added
-  // ...then drain existing readers, yielding to upgrades (upgrades are
-  // favored over writes to avoid deadlocking a reader that must upgrade).
-  while (l->read_count > 0 || l->want_upgrade) w.wait();
+  revoke_bias(l);
+  // ...then drain existing readers, biased ones included, yielding to
+  // upgrades (upgrades are favored over writes to avoid deadlocking a
+  // reader that must upgrade).
+  while (l->read_count > 0 || l->want_upgrade || readers_visible(l)) w.wait();
   w.done();
   l->write_holder = me;
   count_acquisition(l, l->stats.write_acquisitions);
@@ -172,6 +284,7 @@ void lock_write(lock_t l) {
 bool lock_read_to_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
+  count_biased_hold(l);
   if (l->read_count <= 0) fail_locked(l, std::string("upgrade without read hold on ") + l->name);
   if (l->recursion_thread == me) {
     fail_locked(l, std::string("upgrade of recursive read acquisition on ") + l->name);
@@ -188,8 +301,9 @@ bool lock_read_to_write(lock_t l) {
     return true;  // TRUE = upgrade failed
   }
   l->want_upgrade = true;
+  revoke_bias(l);
   lock_waiter w(l, probe_kind::complex_upgrade, me);
-  while (l->read_count > 0) w.wait();
+  while (l->read_count > 0 || readers_visible(l)) w.wait();
   w.done();
   l->write_holder = me;
   ++l->stats.upgrades_succeeded;
@@ -221,6 +335,11 @@ void lock_write_to_read(lock_t l) {
 }
 
 void lock_done(lock_t l) {
+  if (holds_biased(l)) {
+    clear_own_slot(l);
+    wake_after_slot_cleared(l);
+    return;
+  }
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
   if (l->read_count > 0) {
@@ -253,6 +372,7 @@ void lock_done(lock_t l) {
 }
 
 bool lock_try_read(lock_t l) {
+  if (biased_read(l)) return true;
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
   if (l->recursion_thread == me) {
@@ -268,6 +388,7 @@ bool lock_try_read(lock_t l) {
   }
   ++l->read_count;
   count_acquisition(l, l->stats.read_acquisitions);
+  rebias(l);
   lock_probe::acquired(probe_kind::complex_read, site(l), me);
   simple_unlock(&l->interlock);
   return true;
@@ -287,6 +408,11 @@ bool lock_try_write(lock_t l) {
     simple_unlock(&l->interlock);
     return false;
   }
+  revoke_bias(l);
+  if (readers_visible(l)) {
+    simple_unlock(&l->interlock);
+    return false;
+  }
   l->want_write = true;
   l->write_holder = me;
   count_acquisition(l, l->stats.write_acquisitions);
@@ -298,6 +424,7 @@ bool lock_try_write(lock_t l) {
 bool lock_try_read_to_write(lock_t l) {
   const void* me = current_thread_token();
   simple_lock(&l->interlock);
+  count_biased_hold(l);
   if (l->read_count <= 0) fail_locked(l, std::string("try-upgrade without read hold on ") + l->name);
   if (l->want_upgrade || l->recursion_thread == me) {
     // Would deadlock (or is a recursive read): keep the read lock and
@@ -307,10 +434,13 @@ bool lock_try_read_to_write(lock_t l) {
   }
   l->want_upgrade = true;
   --l->read_count;
+  revoke_bias(l);
   lock_waiter w(l, probe_kind::complex_upgrade, me);
   // Appendix B.3: Mach 2.5's implementation blocked here even with the
   // Sleep option disabled; reproduce that when the compat knob is set.
-  while (l->read_count > 0) w.wait(/*force_sleep=*/l->mach25_try_upgrade_bug);
+  while (l->read_count > 0 || readers_visible(l)) {
+    w.wait(/*force_sleep=*/l->mach25_try_upgrade_bug);
+  }
   w.done();
   l->write_holder = me;
   ++l->stats.upgrades_succeeded;

@@ -28,8 +28,17 @@
 //
 // Extension for experiment E3: writers' priority can be disabled per lock
 // (lock_set_writer_priority) to measure the starvation it prevents.
+//
+// Reader bias (BRAVO, Dice and Kogan, USENIX ATC 2019; DESIGN.md decision
+// 12): while a lock's read_bias is on, a reader publishes itself in a
+// global table of visible-reader slots and takes no interlock, so a read
+// hold writes no line other readers share. A writer turns the bias off
+// under the interlock and waits for the lock's slots to drain, then
+// inhibits the bias for lock_bias_inhibit_reads interlocked reads. Every
+// Appendix-B path above is the slow path, unchanged.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "sync/lockstat.h"
@@ -44,11 +53,16 @@ namespace mach {
 // which the poll exists to avoid for short holds (DESIGN.md decision 8).
 inline constexpr std::uint64_t lock_sleep_polls = 3;
 
+// Interlocked reads after a revocation before one turns the reader bias
+// back on. A count, not a time: a clock read per interlocked read cost
+// more than the revocations it saved (DESIGN.md decision 12).
+inline constexpr std::uint8_t lock_bias_inhibit_reads = 2;
+
 // Cumulative per-lock statistics, mutated under the interlock (so reading
 // them while the lock is in active use gives a consistent-enough snapshot
 // for reporting, and updating them costs no extra synchronization).
 struct complex_lock_stats {
-  std::uint64_t read_acquisitions = 0;
+  std::uint64_t read_acquisitions = 0;  // interlocked reads; biased ones count only in lockstat
   std::uint64_t write_acquisitions = 0;
   std::uint64_t recursive_acquisitions = 0;
   std::uint64_t upgrades_succeeded = 0;
@@ -74,7 +88,12 @@ struct lock_data_t {
   // will block even if the Sleep option is disabled". Off by default (we
   // implement the documented-correct behaviour); enable to reproduce 2.5.
   bool mach25_try_upgrade_bug = false;
-  int read_count = 0;
+  // Reader bias: read without the interlock while set. Cleared under the
+  // interlock by every write-side request, set again by an interlocked
+  // read once bias_inhibit (interlock-protected) has counted down.
+  std::atomic<bool> read_bias{false};
+  std::uint8_t bias_inhibit = 0;
+  int read_count = 0;  // interlocked read holds; biased ones sit in the reader table
 
   // Recursive option (paper sec. 4): the designated recursion holder and
   // the extra depth of its nested write acquisitions.
@@ -86,7 +105,8 @@ struct lock_data_t {
   const char* name;
   complex_lock_stats stats;
   // Name-wide acquisition/contention counters and hold/wait profile
-  // (sync/lockstat.h), bumped under the interlock. The wait profile covers
+  // (sync/lockstat.h), bumped under the interlock or, for a biased read,
+  // by the reader on its own way's line. The wait profile covers
   // read, write, and upgrade waits; the hold profile covers write-side
   // holds (a read hold is shared by many threads at once, so per-holder
   // read spans are not tracked).

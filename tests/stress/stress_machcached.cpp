@@ -103,16 +103,24 @@ void table_storm(int shards, int threads, int iters) {
 // Arm 2 — the full IPC service under load (tests/mc_load.h): the quiesce
 // invariant at teardown, and message conservation — every accepted
 // request was served, replied to, and collected (the property the
-// port-receive timeout fix protects).
+// port-receive timeout fix protects). The last round's keyspace exceeds
+// the zone, so its SETs meet KERN_RESOURCE_SHORTAGE under served load;
+// the others fit.
 void ipc_battery(int threads) {
-  for (int read_pct : {90, 30}) {
+  struct burst_round {
+    int read_pct;
+    std::uint64_t keyspace;
+  };
+  for (const burst_round rd :
+       {burst_round{90, 96}, burst_round{30, 96}, burst_round{30, 192}}) {
+    const int failures_before = g_failures;
     testing::burst_spec spec;
     spec.connections = threads;
     spec.duration_ms = 150;
-    spec.read_pct = read_pct;
-    spec.keyspace = 96;
+    spec.read_pct = rd.read_pct;
+    spec.keyspace = rd.keyspace;
     spec.cache.shards = 4;
-    spec.cache.max_items = 128;  // tight: zone shortage is exercised
+    spec.cache.max_items = 128;
     spec.cache.value_words = 4;
     const std::uint64_t live_before = kobject::live_objects();
     testing::burst_result r = testing::run_burst(spec);
@@ -121,7 +129,12 @@ void ipc_battery(int threads) {
     CHECK(r.ops == r.served, "replies lost between server and clients");
     CHECK(r.latency.count() == r.ops, "latency accounting leaked");
     CHECK(kobject::live_objects() == live_before, "service leaked kernel objects");
-    std::printf("ipc battery ok: read%%=%d ops=%llu shortage=%llu\n", read_pct,
+    if (rd.keyspace > spec.cache.max_items) {
+      CHECK(r.shortages > 0, "a keyspace beyond the zone met no zone shortage");
+    }
+    if (g_failures != failures_before) continue;
+    std::printf("ipc battery ok: read%%=%d keys=%llu ops=%llu shortage=%llu\n", rd.read_pct,
+                static_cast<unsigned long long>(rd.keyspace),
                 static_cast<unsigned long long>(r.ops),
                 static_cast<unsigned long long>(r.shortages));
   }

@@ -4,11 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "sched/event.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
+#include "sync/deadlock.h"
 #include "tests/test_util.h"
 
 namespace mach {
@@ -29,7 +32,7 @@ TEST_P(ComplexLockModeTest, WriteExcludesWriters) {
   long counter = 0;
   std::vector<std::unique_ptr<kthread>> workers;
   for (int t = 0; t < threads; ++t) {
-    workers.push_back(kthread::spawn("w" + std::to_string(t), [&] {
+    workers.push_back(kthread::spawn(std::string("w").append(std::to_string(t)), [&] {
       for (int i = 0; i < iters; ++i) {
         lock_write(&l_);
         ++counter;
@@ -49,7 +52,7 @@ TEST_P(ComplexLockModeTest, ReadersRunConcurrently) {
   constexpr int readers = 4;
   std::vector<std::unique_ptr<kthread>> workers;
   for (int t = 0; t < readers; ++t) {
-    workers.push_back(kthread::spawn("r" + std::to_string(t), [&] {
+    workers.push_back(kthread::spawn(std::string("r").append(std::to_string(t)), [&] {
       while (!go.load()) std::this_thread::yield();
       lock_read(&l_);
       int now = inside.fetch_add(1) + 1;
@@ -316,7 +319,7 @@ TEST_P(ComplexLockModeTest, MixedReadWriteStress) {
   std::atomic<long> read_sum{0};
   std::vector<std::unique_ptr<kthread>> workers;
   for (int t = 0; t < threads; ++t) {
-    workers.push_back(kthread::spawn("m" + std::to_string(t), [&, t] {
+    workers.push_back(kthread::spawn(std::string("m").append(std::to_string(t)), [&, t] {
       for (int i = 0; i < iters; ++i) {
         if ((i + t) % 4 == 0) {
           lock_write(&l_);
@@ -336,6 +339,123 @@ TEST_P(ComplexLockModeTest, MixedReadWriteStress) {
     for (int i = 0; i < iters; ++i)
       if ((i + t) % 4 == 0) ++expected_writes;
   EXPECT_EQ(shared, expected_writes);
+}
+
+// --- reader bias (DESIGN.md decision 12) ---
+
+// Interlocked reads until one turns the bias on (after a write that takes
+// lock_bias_inhibit_reads + 1 of them).
+void arm_bias(lock_t l) {
+  for (int i = 0; i <= lock_bias_inhibit_reads && !l->read_bias.load(); ++i) {
+    lock_read(l);
+    lock_done(l);
+  }
+  ASSERT_TRUE(l->read_bias.load());
+}
+
+// A read hold that the calling thread took without the interlock: it does
+// not show in lock_stats' interlocked read count.
+void biased_read(lock_t l) {
+  const std::uint64_t before = lock_stats(l).read_acquisitions;
+  lock_read(l);
+  EXPECT_EQ(lock_stats(l).read_acquisitions, before) << "the read took the interlock";
+}
+
+// A writer behind a biased reader waits (polls and sleeps, or spins)
+// until the reader's release; the release wakes a sleeping writer.
+TEST_P(ComplexLockModeTest, WriterWaitsOutBiasedReader) {
+  arm_bias(&l_);
+  std::atomic<bool> reader_in{false};
+  std::atomic<bool> release{false};
+  auto reader = kthread::spawn("biased-reader", [&] {
+    biased_read(&l_);
+    reader_in.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    lock_done(&l_);
+  });
+  while (!reader_in.load()) std::this_thread::yield();
+  std::atomic<bool> writer_done{false};
+  auto writer = kthread::spawn("writer", [&] {
+    lock_write(&l_);
+    writer_done.store(true);
+    lock_done(&l_);
+  });
+  // Wait until the writer is parked behind the reader: asleep in Sleep
+  // mode, spinning otherwise.
+  while ((GetParam() ? lock_stats(&l_).sleeps : lock_stats(&l_).spins) == 0) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(10ms);
+  EXPECT_FALSE(writer_done.load()) << "writer entered past a biased reader";
+  EXPECT_FALSE(l_.read_bias.load());
+  release.store(true);
+  reader->join();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!writer_done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(writer_done.load()) << "the biased reader's release did not wake the writer";
+  if (!writer_done.load()) thread_wakeup(&l_);  // free the writer so the test ends
+  writer->join();
+}
+
+// Both upgrades work from a biased hold: the hold becomes a counted one
+// and the upgrade drains it like any other.
+TEST_P(ComplexLockModeTest, UpgradesWorkFromBiasedHold) {
+  arm_bias(&l_);
+  biased_read(&l_);
+  EXPECT_FALSE(lock_read_to_write(&l_));  // FALSE = upgraded
+  EXPECT_FALSE(l_.read_bias.load());
+  EXPECT_FALSE(lock_try_read(&l_)) << "reader admitted during the upgraded hold";
+  lock_done(&l_);
+
+  arm_bias(&l_);
+  biased_read(&l_);
+  EXPECT_TRUE(lock_try_read_to_write(&l_));
+  lock_write_to_read(&l_);
+  lock_done(&l_);
+  EXPECT_TRUE(lock_try_write(&l_)) << "a hold leaked through the upgrades";
+  lock_done(&l_);
+  const complex_lock_stats s = lock_stats(&l_);
+  EXPECT_EQ(s.upgrades_succeeded, 2u);
+  EXPECT_EQ(s.upgrades_failed, 0u);
+}
+
+// lock_try_write fails while another thread's biased read is visible, and
+// succeeds once it is released.
+TEST_P(ComplexLockModeTest, TryWriteFailsWhileBiasedReaderVisible) {
+  arm_bias(&l_);
+  std::atomic<bool> reader_in{false};
+  std::atomic<bool> release{false};
+  auto reader = kthread::spawn("biased-reader", [&] {
+    biased_read(&l_);
+    reader_in.store(true);
+    while (!release.load()) std::this_thread::yield();
+    lock_done(&l_);
+  });
+  while (!reader_in.load()) std::this_thread::yield();
+  EXPECT_FALSE(lock_try_write(&l_));
+  release.store(true);
+  reader->join();
+  EXPECT_TRUE(lock_try_write(&l_));
+  lock_done(&l_);
+}
+
+// Without writers' priority a biased reader counts as a holder: new
+// readers keep entering beside it while a writer waits (E3's ablation).
+TEST_P(ComplexLockModeTest, NoPriorityVariantAdmitsReadersBesideBiasedReader) {
+  lock_set_writer_priority(&l_, false);
+  arm_bias(&l_);
+  biased_read(&l_);
+  auto writer = kthread::spawn("writer", [&] {
+    lock_write(&l_);
+    lock_done(&l_);
+  });
+  while (l_.read_bias.load()) std::this_thread::yield();  // the writer has revoked the bias
+  EXPECT_TRUE(lock_try_read(&l_)) << "reader refused while a biased reader holds";
+  lock_done(&l_);
+  lock_done(&l_);
+  writer->join();
 }
 
 INSTANTIATE_TEST_SUITE_P(SleepAndSpin, ComplexLockModeTest, ::testing::Values(true, false),
@@ -432,6 +552,45 @@ TEST(ComplexLock, StatsTrackEverything) {
   EXPECT_EQ(s.downgrades, 1u);
   EXPECT_EQ(s.upgrades_succeeded, 1u);
   EXPECT_EQ(s.upgrades_failed, 0u);
+}
+
+// While the wait graph listens to read holds, every read takes the
+// interlock so the graph hears it.
+TEST(ComplexLockBias, WaitGraphSendsReadsThroughInterlock) {
+  lock_data_t l;
+  lock_init(&l, true, "bias-graph");
+  arm_bias(&l);
+  deadlock_tracing_scope graph;
+  const std::uint64_t before = lock_stats(&l).read_acquisitions;
+  for (int i = 0; i < 4; ++i) {
+    lock_read(&l);
+    lock_done(&l);
+  }
+  EXPECT_EQ(lock_stats(&l).read_acquisitions, before + 4);
+}
+
+// The name-wide lockstat counts every read hold, biased or interlocked;
+// lock_stats counts only the interlocked ones.
+TEST(ComplexLockBias, LockstatCountsEveryReadHold) {
+  static constexpr const char* name = "bias-lockstat";
+  auto acquisitions = [] {
+    std::uint64_t n = 0;
+    for (const lock_stat_entry& e : lock_registry::instance().snapshot()) {
+      if (e.is_complex && std::string(e.name) == name) n += e.acquisitions;
+    }
+    return n;
+  };
+  lock_data_t l;
+  lock_init(&l, true, name);
+  const std::uint64_t before = acquisitions();
+  constexpr int reads = 10;
+  for (int i = 0; i < reads; ++i) {
+    lock_read(&l);
+    lock_done(&l);
+  }
+  const std::uint64_t interlocked = lock_stats(&l).read_acquisitions;
+  EXPECT_LT(interlocked, static_cast<std::uint64_t>(reads)) << "no read was biased";
+  EXPECT_EQ(acquisitions() - before, static_cast<std::uint64_t>(reads));
 }
 
 TEST(ComplexLockGuards, ReadAndWriteGuardsRelease) {

@@ -185,6 +185,46 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
   EXPECT_FALSE(model.violated.load());
 }
 
+// More readers than kmon ways, so threads share rows of the visible-reader
+// table and some reads fall back to the interlock while others are biased,
+// against writers that revoke the bias. The process runs more threads than
+// CPUs, so a reader is sometimes preempted between reading the bias and
+// publishing its slot: exactly the reader a writer's revocation must catch.
+TEST(ComplexLockProperty, BiasedReadersBeyondWaysExcludeWriters) {
+  for (const bool can_sleep : {true, false}) {
+    lock_data_t lock;
+    lock_init(&lock, can_sleep, "bias-property");
+    rw_model model;
+    constexpr int threads = static_cast<int>(kmon::num_ways) + 4;
+    const auto deadline = std::chrono::steady_clock::now() + 300ms;
+    std::vector<std::unique_ptr<kthread>> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.push_back(kthread::spawn("bias" + std::to_string(t), [&, t] {
+        xorshift64 rng(static_cast<std::uint64_t>(t) * 131 + 5);
+        while (std::chrono::steady_clock::now() < deadline && !model.violated.load()) {
+          if (rng.next_below(8) == 0) {
+            lock_write(&lock);
+            model.enter_write();
+            for (int i = 0; i < 64; ++i) cpu_relax();  // a hold a late reader can overlap
+            model.check();
+            model.exit_write();
+            lock_done(&lock);
+          } else {
+            lock_read(&lock);
+            model.enter_read();
+            model.exit_read();
+            lock_done(&lock);
+          }
+        }
+      }));
+    }
+    for (auto& w : workers) w->join();
+    EXPECT_FALSE(model.violated.load()) << (can_sleep ? "sleep" : "spin");
+    EXPECT_TRUE(lock_try_write(&lock));
+    lock_done(&lock);
+  }
+}
+
 // --- refcount types: the atomic count agrees with the paper's locked
 // count on observable semantics (the equivalence contract of
 // kern/refcount.h) ---
