@@ -19,9 +19,9 @@
 #include <thread>
 #include <vector>
 
-#include "trace/trace_session.h"
 #include "base/stats.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "sched/kthread.h"
 #include "sync/deadlock.h"
 #include "vm/shootdown.h"

@@ -15,11 +15,11 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/kspan.h"
-#include "trace/trace_session.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
 #include "ipc/stubs.h"
+#include "trace/kspan.h"
 
 namespace {
 

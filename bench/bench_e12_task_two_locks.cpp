@@ -19,9 +19,9 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "base/stats.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
 #include "kern/task.h"
 

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "base/env.h"
 #include "harness/bench_json.h"
-#include "trace/trace_session.h"
+#include "harness/env.h"
+#include "harness/trace_session.h"
 #include "ipc/stubs.h"
 #include "kern/object.h"
 #include "sched/event.h"
@@ -128,12 +128,28 @@ void BM_PortSendReceive(benchmark::State& state) {
 }
 BENCHMARK(BM_PortSendReceive);
 
+void BM_MsgRpcCounterAdd(benchmark::State& state) {
+  ipc_space space;
+  auto obj = make_object<counter_object>();
+  auto p = make_object<port>("bm-rpc");
+  p->set_translation(obj);
+  port_name_t name = space.insert(p);
+  message reply;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        msg_rpc(space, name, message(OP_COUNTER_ADD, {1}), reply, standard_router()));
+  }
+}
+BENCHMARK(BM_MsgRpcCounterAdd);
+
 // Cross-thread handoff: this thread sends on `ping` and blocks receiving on
 // `pong`; an echo kthread does the reverse. One iteration is a round trip
 // of two sends and two blocking receives, so the row prices the port's
 // wakeup path (waiter count, event bucket, sleep and wake) that a served
 // request crosses twice. Real time: the echo thread's half is not this
-// thread's CPU time.
+// thread's CPU time. Registered after the single-threaded rows: the echo
+// thread it starts leaves the process in a different state for the rows
+// that run after it, so they would no longer compare with their parent's.
 void BM_PortHandoff(benchmark::State& state) {
   auto ping = make_object<port>("bm-ping");
   auto pong = make_object<port>("bm-pong");
@@ -150,20 +166,6 @@ void BM_PortHandoff(benchmark::State& state) {
   echo->join();
 }
 BENCHMARK(BM_PortHandoff)->UseRealTime();
-
-void BM_MsgRpcCounterAdd(benchmark::State& state) {
-  ipc_space space;
-  auto obj = make_object<counter_object>();
-  auto p = make_object<port>("bm-rpc");
-  p->set_translation(obj);
-  port_name_t name = space.insert(p);
-  message reply;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        msg_rpc(space, name, message(OP_COUNTER_ADD, {1}), reply, standard_router()));
-  }
-}
-BENCHMARK(BM_MsgRpcCounterAdd);
 
 // Read round trips on one Sleep lock from several threads at once: the
 // layer row behind a GET on a shared shard. With reader bias a read writes

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
+#include "harness/trace_session.h"
 #include "sched/kthread.h"
 
 #include "harness/table.h"

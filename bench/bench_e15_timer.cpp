@@ -17,9 +17,9 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "base/stats.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "sched/timer.h"
 
 namespace {

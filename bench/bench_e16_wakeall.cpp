@@ -15,10 +15,10 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "harness/table.h"
-#include "sched/event.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
+#include "sched/event.h"
 #include "sync/complex_lock.h"
 
 namespace {

@@ -16,8 +16,8 @@
 #include <thread>
 #include <vector>
 
-#include "trace/trace_session.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
 #include "sched/event.h"
 #include "sched/kthread.h"

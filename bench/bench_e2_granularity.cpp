@@ -25,11 +25,11 @@
 #include <thread>
 #include <vector>
 
-#include "trace/trace_session.h"
 #include "base/compiler.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
 #include "sync/complex_lock.h"
 #include "sync/simple_lock.h"

@@ -13,8 +13,8 @@
 #include <chrono>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "base/stats.h"
+#include "harness/trace_session.h"
 
 #include "harness/table.h"
 #include "harness/workload.h"

@@ -18,8 +18,8 @@
 #include <ctime>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
 #include "sync/complex_lock.h"
 

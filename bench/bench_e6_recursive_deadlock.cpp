@@ -14,9 +14,9 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "base/stats.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "sched/kthread.h"
 #include "sync/deadlock.h"
 #include "vm/vm_pageable.h"

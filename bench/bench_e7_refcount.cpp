@@ -18,8 +18,8 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
 #include "kern/refcount.h"
 #include "sched/kthread.h"

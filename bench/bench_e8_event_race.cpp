@@ -16,9 +16,9 @@
 #include <cstdio>
 #include <thread>
 
-#include "trace/trace_session.h"
 #include "base/stats.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
 #include "sync/simple_lock.h"

@@ -15,12 +15,12 @@
 // throughput at low collision rates.
 #include <atomic>
 
-#include "trace/trace_session.h"
 #include "base/rng.h"
 #include "harness/table.h"
+#include "harness/trace_session.h"
 #include "harness/workload.h"
-#include "vm/pmap.h"
 #include "vm/memory_object.h"
+#include "vm/pmap.h"
 
 namespace {
 

@@ -14,10 +14,10 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/trace_session.h"
 #include "ipc/stubs.h"
 #include "sched/kthread.h"
 #include "trace/kspan.h"
-#include "trace/trace_session.h"
 
 using namespace mach;
 using namespace std::chrono_literals;

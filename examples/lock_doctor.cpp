@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "harness/top_tables.h"
 #include "metrics/kmon.h"
 #include "sched/event.h"
 #include "sched/kthread.h"
@@ -36,7 +37,7 @@ int main() {
   ktrace::set_thread_name("main");  // label this thread in phase 3/4 timelines
 
   // --- Phase 1: lockstat over a mixed workload ---
-  // Trace the workload so print_top's hold/wait p50/p99 columns populate
+  // Trace the workload so the lockstat table's hold/wait p50/p99 columns populate
   // (they are clock-gated on ktrace; untraced runs show "-").
   ktrace::enable();
   simple_lock_data_t hot("hot-simple-lock");
@@ -72,7 +73,7 @@ int main() {
   for (auto& w : workers) w->join();
   ktrace::disable();
   std::printf("phase 1: workload done — lockstat report (hold/wait from the trace):\n");
-  lock_registry::instance().print_top(6);
+  print_lockstat_top(lock_registry::instance().snapshot(), 6);
 
   // --- Phase 2: a live deadlock, named by the detector ---
   std::printf("\nphase 2: constructing an ABBA deadlock on purpose...\n");
@@ -216,9 +217,9 @@ int main() {
     thread_wakeup(&ev);
     for (auto& w : workers) w->join();
     kmon::disable();
-    std::printf("  top metrics (kmon::registry::print_top — counters, gauges,\n"
+    std::printf("  top metrics (print_kmon_top — counters, gauges,\n"
                 "  block-latency histogram; exportable via MACHLOCK_METRICS=out.prom):\n");
-    kmon::registry::instance().print_top(12);
+    print_kmon_top(kmon::registry::instance().snapshot(), 12);
   }
 
   std::printf("\ndone.\n");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 
 namespace mach {
 
@@ -42,20 +41,6 @@ std::uint64_t latency_histogram::quantile_nanos(double q) const noexcept {
     }
   }
   return max_;
-}
-
-summary summarize(const std::vector<double>& samples) {
-  summary s;
-  if (samples.empty()) return s;
-  s.min = *std::min_element(samples.begin(), samples.end());
-  s.max = *std::max_element(samples.begin(), samples.end());
-  double sum = 0.0;
-  for (double v : samples) sum += v;
-  s.mean = sum / static_cast<double>(samples.size());
-  double var = 0.0;
-  for (double v : samples) var += (v - s.mean) * (v - s.mean);
-  s.stddev = std::sqrt(var / static_cast<double>(samples.size()));
-  return s;
 }
 
 std::uint64_t now_nanos() noexcept {

@@ -4,8 +4,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "base/compiler.h"
 
@@ -52,16 +50,6 @@ class latency_histogram {
   std::uint64_t total_ = 0;
   std::uint64_t max_ = 0;
 };
-
-// Summary statistics over a small sample vector (bench harness output).
-struct summary {
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double stddev = 0.0;
-};
-
-summary summarize(const std::vector<double>& samples);
 
 // Monotonic clock reading in nanoseconds.
 std::uint64_t now_nanos() noexcept;

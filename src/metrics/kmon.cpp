@@ -7,7 +7,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "harness/table.h"
 #include "trace/trace_export.h"
 
 namespace mach::kmon {
@@ -152,43 +151,6 @@ std::vector<metric_sample> registry::snapshot() const {
     return a.label_value < b.label_value;
   });
   return out;
-}
-
-void registry::reset_all() {
-  impl& s = self();
-  std::lock_guard<std::mutex> g(s.m);
-  for (metric* m : s.metrics) m->reset();
-}
-
-void registry::print_top(std::size_t max_rows) const {
-  std::vector<metric_sample> snap = snapshot();
-  // Top-style: largest values first; histograms rank by count.
-  std::stable_sort(snap.begin(), snap.end(), [](const metric_sample& a, const metric_sample& b) {
-    const double av = a.kind == metric_kind::histogram ? static_cast<double>(a.hist.count())
-                                                       : a.value;
-    const double bv = b.kind == metric_kind::histogram ? static_cast<double>(b.hist.count())
-                                                       : b.value;
-    return av > bv;
-  });
-  table t("kmon: kernel metrics (" + std::to_string(snap.size()) + " registered, largest first)");
-  t.columns({"metric", "kind", "value", "p50", "p99", "max"});
-  std::size_t rows = 0;
-  for (const metric_sample& s : snap) {
-    if (max_rows != 0 && rows++ >= max_rows) break;
-    std::string name = s.name;
-    if (!s.label_key.empty()) {
-      name += "{" + s.label_key + "=\"" + prom_escape_label_value(s.label_value) + "\"}";
-    }
-    if (s.kind == metric_kind::histogram) {
-      t.row({name, "histogram", table::num(s.hist.count()),
-             table::num(s.hist.quantile_nanos(0.5)) + "ns",
-             table::num(s.hist.quantile_nanos(0.99)) + "ns", table::num(s.hist.max_nanos()) + "ns"});
-    } else {
-      t.row({name, to_string(s.kind), table::num(s.value, s.value == static_cast<std::int64_t>(s.value) ? 0 : 2),
-             "-", "-", "-"});
-    }
-  }
-  t.print();
 }
 
 // --- histogram ---

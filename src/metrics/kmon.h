@@ -94,14 +94,6 @@ class registry {
   // deterministic.
   std::vector<metric_sample> snapshot() const;
 
-  // Zero every resettable metric (between bench rounds). Callback gauges
-  // are unaffected (they have no state here).
-  void reset_all();
-
-  // Top-style dump on stdout: metrics sorted by value, largest first.
-  // max_rows == 0 prints everything.
-  void print_top(std::size_t max_rows = 0) const;
-
  private:
   registry() = default;
   struct impl;
@@ -260,7 +252,7 @@ class histogram final : public metric {
 // Escape a label value per the Prometheus exposition format: backslash,
 // double-quote, and line feed become \\, \", and \n. Used everywhere a
 // label value is interpolated into a sample name (text exporter, rate
-// keys, print_top) so hostile values cannot break the line format.
+// keys, the tools' top table) so hostile values cannot break the line format.
 std::string prom_escape_label_value(const std::string& v);
 
 // Prometheus text exposition format (v0.0.4): HELP/TYPE headers, counters

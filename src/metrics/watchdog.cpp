@@ -5,7 +5,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "base/env.h"
 #include "base/panic.h"
 #include "base/stats.h"
 #include "prof/kprof.h"
@@ -64,17 +63,6 @@ void note_wait_end() noexcept {
 }
 
 }  // namespace watchdog_detail
-
-watchdog_config watchdog_config_from_env() {
-  watchdog_config cfg;
-  cfg.spin_deadline = std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_SPIN_MS", 250, 1));
-  cfg.block_deadline =
-      std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_BLOCK_MS", 2000, 1));
-  cfg.writer_deadline =
-      std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_WRITER_MS", 1000, 1));
-  cfg.panic_on_trip = env_flag("MACHLOCK_WATCHDOG_PANIC");
-  return cfg;
-}
 
 struct watchdog::impl {
   // Held by start, stop and a scan, trip sink included, so once stop
@@ -186,8 +174,6 @@ struct watchdog::impl {
     } else {
       std::fwrite(report.data(), 1, report.size(), stderr);
       std::fflush(stderr);
-      // The full table dump goes to stdout, where the bench output lives.
-      lock_registry::instance().print_top(10);
     }
     if (cfg.panic_on_trip) {
       panic("watchdog: " + std::string(to_string(k)) + " stall on '" +

@@ -66,9 +66,6 @@ struct watchdog_config {
   std::function<void(const std::string& report)> on_trip;
 };
 
-// Config from MACHLOCK_WATCHDOG_* environment variables (defaults above).
-watchdog_config watchdog_config_from_env();
-
 class watchdog {
  public:
   static watchdog& instance() noexcept;

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string_view>
 
-#include "harness/table.h"
 #include "trace/trace_export.h"
 
 namespace mach {
@@ -100,35 +99,6 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
   return out;
 }
 
-namespace {
-
-// "12.3us" style cell; "-" when the histogram never sampled (profiling is
-// ktrace-gated, so zero samples is the common disabled case).
-std::string ns_cell(std::uint64_t samples, std::uint64_t nanos) {
-  if (samples == 0) return "-";
-  if (nanos < 10'000) return table::num(nanos) + "ns";
-  if (nanos < 10'000'000) return table::num(static_cast<double>(nanos) / 1e3, 1) + "us";
-  return table::num(static_cast<double>(nanos) / 1e6, 1) + "ms";
-}
-
-}  // namespace
-
-void lock_registry::print_top(std::size_t max_rows) const {
-  std::vector<lock_stat_entry> snap = snapshot();
-  table t("lockstat: most contended lock names (" + std::to_string(snap.size()) + " classes)");
-  t.columns({"lock", "kind", "acquisitions", "contended", "hold p50", "hold p99", "wait p50",
-             "wait p99"});
-  std::size_t rows = 0;
-  for (const lock_stat_entry& e : snap) {
-    if (rows++ >= max_rows) break;
-    t.row({e.name, e.is_complex ? "complex" : "simple", table::num(e.acquisitions),
-           table::num(e.contended), ns_cell(e.hold_samples, e.hold_p50_nanos),
-           ns_cell(e.hold_samples, e.hold_p99_nanos), ns_cell(e.wait_samples, e.wait_p50_nanos),
-           ns_cell(e.wait_samples, e.wait_p99_nanos)});
-  }
-  t.print();
-}
-
 std::string lock_registry::snapshot_json() const {
   std::vector<lock_stat_entry> snap = snapshot();
   std::string out = "[";
@@ -146,7 +116,7 @@ std::string lock_registry::snapshot_json() const {
     // Hold/wait profiling is ktrace-gated; a lock that was never timed has
     // zero samples, and emitting p50/p99 "0" for it would read as a
     // measured zero-latency lock. Omit the objects entirely instead (the
-    // print_top table renders the same case as "-").
+    // lockstat table renders the same case as "-").
     if (e.hold_samples != 0) {
       std::snprintf(buf, sizeof(buf),
                     "\"hold\":{\"samples\":%llu,\"p50_ns\":%llu,\"p99_ns\":%llu},",

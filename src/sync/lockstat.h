@@ -86,17 +86,13 @@ class lock_registry {
   // finally kind (simple first) as tie-breaks.
   std::vector<lock_stat_entry> snapshot() const;
 
-  // Print the top `max_rows` most contended lock names as a table on
-  // stdout, including hold/wait p50/p99 (ktrace-populated; see snapshot()).
-  void print_top(std::size_t max_rows = 20) const;
-
   // Machine-readable snapshot: a JSON array of per-class objects, so CI
-  // and scripts can consume lock stats without parsing the print_top
-  // table. The "hold"/"wait" quantile objects are OMITTED for a class whose
-  // profile never sampled (profiling is ktrace-gated), matching the "-"
-  // cells in print_top — absent means "not measured", never "measured 0".
-  // The bench harness emits this on exit when MACHLOCK_LOCKSTAT=json
-  // (see trace/trace_session.h).
+  // and scripts can consume lock stats without parsing the tools' lockstat
+  // table (harness/top_tables.h). The "hold"/"wait" quantile objects are
+  // OMITTED for a class whose profile never sampled (profiling is
+  // ktrace-gated), matching the table's "-" cells — absent means "not
+  // measured", never "measured 0". The tools' trace_session emits this on
+  // exit when MACHLOCK_LOCKSTAT=json.
   std::string snapshot_json() const;
 
  private:

@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "harness/trace_session.h"
 #include "svc/machcached.h"
 #include "tests/mc_load.h"
-#include "trace/trace_session.h"
 
 using namespace mach;
 

@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "harness/trace_session.h"
 #include "kern/object.h"
 #include "kern/refcount.h"
 #include "sched/kthread.h"
 #include "trace/ktrace.h"
-#include "trace/trace_session.h"
 
 using namespace mach;
 

@@ -186,20 +186,6 @@ TEST(LatencyHistogram, MergePropagatesMaxAndTotalBothDirections) {
   EXPECT_EQ(c.count(), 3u);
 }
 
-TEST(Summary, ComputesMoments) {
-  summary s = summarize({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, 1.118, 1e-3);
-}
-
-TEST(Summary, EmptyIsZero) {
-  summary s = summarize({});
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.max, 0.0);
-}
-
 TEST(Rng, DeterministicForSeed) {
   xorshift64 a(7), b(7), c(8);
   EXPECT_EQ(a.next(), b.next());

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "base/compiler.h"
 #include "harness/bench_json.h"
 #include "harness/mini_json.h"
 #include "harness/table.h"
@@ -25,30 +24,15 @@ namespace {
 using namespace std::chrono_literals;
 
 TEST(Workload, RunsAllThreadsForDuration) {
-  std::atomic<int> setups{0}, teardowns{0};
   workload_spec spec;
   spec.threads = 3;
   spec.duration_ms = 50;
-  spec.setup = [&](int) { setups.fetch_add(1); };
-  spec.teardown = [&](int) { teardowns.fetch_add(1); };
   spec.body = [&](int, std::uint64_t) {};
   workload_result r = run_workload(spec);
-  EXPECT_EQ(setups.load(), 3);
-  EXPECT_EQ(teardowns.load(), 3);
   EXPECT_EQ(r.per_thread.size(), 3u);
   EXPECT_GT(r.total_ops(), 0u);
   EXPECT_GE(r.wall_nanos, 45'000'000u);
   EXPECT_GT(r.ops_per_second(), 0.0);
-}
-
-TEST(Workload, TimedModeRecordsLatencies) {
-  workload_spec spec;
-  spec.threads = 1;
-  spec.duration_ms = 30;
-  spec.timed = true;
-  spec.body = [](int, std::uint64_t) { cpu_relax(); };
-  workload_result r = run_workload(spec);
-  EXPECT_EQ(r.merged_latency().count(), r.total_ops());
 }
 
 TEST(Workload, FairnessIsOneForSymmetricWork) {

@@ -15,6 +15,7 @@
 
 #include "base/stats.h"
 #include "harness/mini_json.h"
+#include "harness/trace_session.h"
 #include "metrics/kmon.h"
 #include "metrics/watchdog.h"
 #include "prof/kprof.h"
@@ -25,7 +26,6 @@
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 #include "trace/kspan.h"
-#include "trace/trace_session.h"
 
 namespace mach {
 namespace {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "harness/top_tables.h"
 #include "sched/kthread.h"
 #include "sync/complex_lock.h"
 #include "sync/lockstat.h"
@@ -144,7 +145,7 @@ TEST(Lockstat, SnapshotSortsMostContendedFirst) {
 
 TEST(Lockstat, SnapshotTieBreaksByNameThenKind) {
   // Identical counters: order must fall back to name, then kind, so
-  // repeated snapshots (and print_top output) are stable run to run.
+  // repeated snapshots (and the lockstat table) are stable run to run.
   simple_lock_data_t b("tiebreak-b");
   simple_lock_data_t a("tiebreak-a");
   lock_data_t c("tiebreak-a");
@@ -172,7 +173,7 @@ TEST(Lockstat, SnapshotTieBreaksByNameThenKind) {
 
 TEST(Lockstat, PrintTopDoesNotExplode) {
   // Smoke: the report renders with whatever is live (captured by ctest).
-  lock_registry::instance().print_top(5);
+  print_lockstat_top(lock_registry::instance().snapshot(), 5);
 }
 
 }  // namespace

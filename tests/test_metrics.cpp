@@ -329,7 +329,7 @@ TEST(KmonExport, PrometheusEscapesHostileLabelValues) {
     EXPECT_EQ(unescaped % 2, 0) << "unbalanced quotes: " << line;
   }
 
-  // The registry print_top path uses the same escaping for its key; the
+  // The tools' print_kmon_top uses the same escaping for its key; the
   // flight ring's value keys do too (prom_sample_name). A labelled
   // live metric with a hostile value must round-trip the registry
   // snapshot unharmed (escaping happens at render time, not storage).

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "harness/mini_json.h"
+#include "harness/trace_session.h"
 #include "ipc/rpc.h"
 #include "ipc/stubs.h"
 #include "sched/event.h"
@@ -26,7 +27,6 @@
 #include "trace/kspan.h"
 #include "trace/ktrace.h"
 #include "trace/trace_export.h"
-#include "trace/trace_session.h"
 
 namespace mach {
 namespace {

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/trace_session.h"
 #include "kern/zalloc.h"
 #include "metrics/watchdog.h"
 #include "prof/kprof.h"
@@ -344,6 +345,55 @@ TEST(Watchdog, ConfigFromEnvReadsOverrides) {
   cfg = watchdog_config_from_env();
   EXPECT_EQ(cfg.spin_deadline, 250ms);
   EXPECT_FALSE(cfg.panic_on_trip);
+}
+
+// MACHLOCK_WATCHDOG=1 arms the watchdog through trace_session, whose trip
+// sink writes the report to stderr and the lockstat table to stdout; the
+// kernel's default sink writes the report alone.
+TEST(Watchdog, TraceSessionTripSendsReportToStderrAndTableToStdout) {
+  ASSERT_FALSE(watchdog::instance().running());
+  setenv("MACHLOCK_WATCHDOG", "1", 1);
+  setenv("MACHLOCK_WATCHDOG_SPIN_MS", "50", 1);
+  const std::uint64_t baseline = watchdog::instance().trips();
+  testing::internal::CaptureStderr();
+  testing::internal::CaptureStdout();
+  {
+    trace_session session;
+    EXPECT_TRUE(watchdog::instance().running());
+    simple_lock_data_t wedge("session-wedge-lock");
+    std::atomic<bool> held{false};
+    std::atomic<bool> release{false};
+    auto holder = kthread::spawn("session-wedge-holder", [&] {
+      simple_lock(&wedge);
+      held.store(true);
+      while (!release.load()) std::this_thread::sleep_for(1ms);  // wedged
+      simple_unlock(&wedge);
+    });
+    while (!held.load()) std::this_thread::yield();
+    auto spinner = kthread::spawn("session-wedge-spinner", [&] {
+      simple_lock(&wedge);
+      simple_unlock(&wedge);
+    });
+    const auto until = std::chrono::steady_clock::now() + 2000ms;
+    while (watchdog::instance().trips() == baseline && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(2ms);
+    }
+    release.store(true);
+    holder->join();
+    spinner->join();
+  }  // the session stops the watchdog it started
+  const std::string out = testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("MACHLOCK_WATCHDOG");
+  unsetenv("MACHLOCK_WATCHDOG_SPIN_MS");
+
+  EXPECT_FALSE(watchdog::instance().running());
+  ASSERT_GT(watchdog::instance().trips(), baseline) << "watchdog did not trip";
+  EXPECT_NE(err.find("== machlock watchdog trip =="), std::string::npos) << err;
+  EXPECT_NE(err.find("session-wedge-lock"), std::string::npos) << err;
+  EXPECT_EQ(err.find("lockstat: most contended lock names"), std::string::npos) << err;
+  EXPECT_NE(out.find("lockstat: most contended lock names"), std::string::npos) << out;
+  EXPECT_EQ(out.find("== machlock watchdog trip =="), std::string::npos) << out;
 }
 
 // --- the lock probe's contract (sync/lock_probe.h) ---

@@ -5,7 +5,7 @@
 //
 // Repetitions default to MACHLOCK_BENCH_REPS (else 1); each bench's cells
 // become the median over reps with the coefficient of variation stamped
-// alongside (see src/harness/bench_all.h). Exit status: 0 when every
+// alongside (see harness/bench_all.h). Exit status: 0 when every
 // bench produced a merged file, 1 when any bench failed, 2 on usage or
 // setup errors.
 #include <cstdio>

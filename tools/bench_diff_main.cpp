@@ -6,7 +6,7 @@
 // Prints the markdown report to stdout (and to --md when given), writes
 // the machine-readable verdict to --json. Exit status: 0 when no
 // regression beyond threshold (or --advisory), 1 on regressions, 2 on
-// usage/IO errors. See src/harness/bench_diff.h for the noise model.
+// usage/IO errors. See harness/bench_diff.h for the noise model.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

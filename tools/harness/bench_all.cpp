@@ -12,8 +12,8 @@
 #include <filesystem>
 #include <string>
 
-#include "base/env.h"
 #include "harness/bench_model.h"
+#include "harness/env.h"
 
 namespace mach {
 

@@ -7,7 +7,7 @@
 #include <cstring>
 #include <thread>
 
-#include "base/env.h"
+#include "harness/env.h"
 #include "trace/trace_export.h"
 
 #ifndef MACHLOCK_BUILD_TYPE

@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "base/env.h"
 #include "harness/bench_json.h"
+#include "harness/env.h"
 
 namespace mach {
 

@@ -1,15 +1,15 @@
-#include "trace/trace_session.h"
+#include "harness/trace_session.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "base/env.h"
 #include "harness/bench_json.h"
+#include "harness/env.h"
+#include "harness/top_tables.h"
 #include "metrics/kmetrics.h"
 #include "metrics/kmon.h"
-#include "metrics/watchdog.h"
 #include "prof/kprof.h"
 #include "sync/deadlock.h"
 #include "sync/lock_order.h"
@@ -28,6 +28,22 @@ bool ends_with(const std::string& s, const char* suffix) {
 }
 
 }  // namespace
+
+watchdog_config watchdog_config_from_env() {
+  watchdog_config cfg;
+  cfg.spin_deadline = std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_SPIN_MS", 250, 1));
+  cfg.block_deadline =
+      std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_BLOCK_MS", 2000, 1));
+  cfg.writer_deadline =
+      std::chrono::milliseconds(env_number("MACHLOCK_WATCHDOG_WRITER_MS", 1000, 1));
+  cfg.panic_on_trip = env_flag("MACHLOCK_WATCHDOG_PANIC");
+  cfg.on_trip = [](const std::string& report) {
+    std::fwrite(report.data(), 1, report.size(), stderr);
+    std::fflush(stderr);
+    print_lockstat_top(lock_registry::instance().snapshot(), 10);
+  };
+  return cfg;
+}
 
 trace_session::trace_session() {
   // Ring sizing must precede ktrace::enable(): rings are carved per thread

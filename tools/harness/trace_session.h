@@ -9,13 +9,21 @@
 // instrument switched on there is started here; the destructor stops what
 // this session started, writes its exports (trace, metrics, kprof profile,
 // lockstat and bench JSON) and prints its reports (wait-graph cycles,
-// lock-order violations). Numbers are read by env_number (base/env.h): a
-// malformed value is reported on stderr and the default kept.
+// lock-order violations). Numbers are read by env_number (harness/env.h):
+// a malformed value is reported on stderr and the default kept. This is
+// the one reader of the environment; the kernel library reads none.
 #pragma once
 
 #include <string>
 
+#include "metrics/watchdog.h"
+
 namespace mach {
+
+// Watchdog config from the MACHLOCK_WATCHDOG_* variables (defaults as in
+// watchdog_config). Its on_trip sink writes the report to stderr and the
+// lockstat top table to stdout, where the bench output lives.
+watchdog_config watchdog_config_from_env();
 
 class trace_session {
  public:

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "base/stats.h"
 #include "sched/kthread.h"
 
 namespace mach {
@@ -18,12 +19,6 @@ std::uint64_t workload_result::total_ops() const {
 double workload_result::ops_per_second() const {
   if (wall_nanos == 0) return 0.0;
   return static_cast<double>(total_ops()) * 1e9 / static_cast<double>(wall_nanos);
-}
-
-latency_histogram workload_result::merged_latency() const {
-  latency_histogram h;
-  for (const auto& w : per_thread) h.merge(w.latency);
-  return h;
 }
 
 double workload_result::fairness() const {
@@ -47,23 +42,15 @@ workload_result run_workload(const workload_spec& spec) {
   workers.reserve(static_cast<std::size_t>(spec.threads));
   for (int t = 0; t < spec.threads; ++t) {
     workers.push_back(kthread::spawn("worker" + std::to_string(t), [&, t] {
-      if (spec.setup) spec.setup(t);
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       worker_result& mine = result.per_thread[static_cast<std::size_t>(t)];
       std::uint64_t iter = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (spec.timed) {
-          std::uint64_t t0 = now_nanos();
-          spec.body(t, iter);
-          mine.latency.record(now_nanos() - t0);
-        } else {
-          spec.body(t, iter);
-        }
+        spec.body(t, iter);
         ++mine.ops;
         ++iter;
       }
-      if (spec.teardown) spec.teardown(t);
     }));
   }
   while (ready.load() < spec.threads) std::this_thread::yield();

@@ -1,20 +1,16 @@
 // Workload driver: run N kernel threads against a per-thread work function
-// for a fixed duration, collecting per-thread operation counts and
-// latencies. Shared by the experiment benches.
+// for a fixed duration, collecting per-thread operation counts. Shared by
+// the experiment benches.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include "base/stats.h"
 
 namespace mach {
 
 struct worker_result {
   std::uint64_t ops = 0;
-  latency_histogram latency;
 };
 
 struct workload_result {
@@ -23,23 +19,15 @@ struct workload_result {
 
   std::uint64_t total_ops() const;
   double ops_per_second() const;
-  // Merged latency across threads.
-  latency_histogram merged_latency() const;
   // Fairness: min/max per-thread ops ratio in [0,1]; 1 = perfectly fair.
   double fairness() const;
 };
 
 // Each worker repeatedly calls `body(thread_index, iteration)` until the
-// stop flag flips; every call counts as one op. When `timed` is set, each
-// op's latency is recorded.
+// stop flag flips; every call counts as one op.
 struct workload_spec {
   int threads = 1;
   int duration_ms = 300;
-  bool timed = false;
-  // Optional per-thread setup/teardown running inside the worker thread
-  // (e.g. binding to a virtual CPU).
-  std::function<void(int)> setup;
-  std::function<void(int)> teardown;
   std::function<void(int, std::uint64_t)> body;
 };
 
